@@ -108,7 +108,7 @@ pub fn detect_cascade(study: &Study, gt: &GlobalTimeline, cfg: &CascadeConfig) -
         let GlobalEventKind::UserMessage(m) = &e.kind else {
             continue;
         };
-        if !m.starts_with(&cfg.marker_prefix) {
+        if !m.as_bytes().starts_with(cfg.marker_prefix.as_bytes()) {
             continue;
         }
         let t = e.bounds.mid().as_f64();
@@ -135,6 +135,7 @@ mod tests {
     use crate::global::GlobalEvent;
     use loki_core::fault::{FaultExpr, Trigger};
     use loki_core::ids::{FaultId, HostId, SmId, SymbolTable};
+    use loki_core::small::Text;
     use loki_core::spec::{StateMachineSpec, StudyDef};
     use loki_core::time::{GlobalNanos, TimeBounds};
     use std::sync::Arc;
@@ -174,7 +175,9 @@ mod tests {
         )];
         for (i, ms) in marker_ms.iter().enumerate() {
             events.push(event(
-                GlobalEventKind::UserMessage(format!("retry seq={i} attempt=1")),
+                GlobalEventKind::UserMessage(Text::from_fmt(format_args!(
+                    "retry seq={i} attempt=1"
+                ))),
                 *ms,
                 i + 1,
             ));

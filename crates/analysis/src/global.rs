@@ -15,6 +15,7 @@ use loki_clock::sync::{estimate_alpha_beta, AlphaBetaBounds, SyncOptions};
 use loki_core::campaign::ExperimentData;
 use loki_core::ids::{EventId, FaultId, HostId, SmId, StateId, SymbolTable};
 use loki_core::recorder::RecordKind;
+use loki_core::small::Text;
 use loki_core::study::Study;
 use loki_core::time::{GlobalNanos, TimeBounds};
 use std::sync::Arc;
@@ -43,8 +44,9 @@ pub enum GlobalEventKind {
         /// [`GlobalTimeline::host_name`]).
         host: HostId,
     },
-    /// A user message.
-    UserMessage(String),
+    /// A user message. Derefs to `&str`; copying a short message from its
+    /// local timeline record allocates nothing.
+    UserMessage(Text),
 }
 
 /// One event projected onto the global timeline.
@@ -165,11 +167,13 @@ impl GlobalTimeline {
     /// ships to the sink.
     pub fn approx_size_bytes(&self) -> usize {
         use std::mem::size_of;
+        // Only spilled message bytes: inline ones already sit inside
+        // `size_of::<GlobalEvent>()`.
         let strings: usize = self
             .events
             .iter()
             .map(|e| match &e.kind {
-                GlobalEventKind::UserMessage(m) => m.len(),
+                GlobalEventKind::UserMessage(m) => m.heap_bytes(),
                 _ => 0,
             })
             .sum();
@@ -698,6 +702,31 @@ mod tests {
         assert!(
             matches!(err, Err(AnalysisError::UnknownHost { ref host, .. }) if host == "h2"),
             "{err:?}"
+        );
+    }
+
+    #[test]
+    fn size_counts_only_spilled_message_bytes() {
+        let study = study();
+        let base = make_global(&study, &experiment(&study), &GlobalOptions::default()).unwrap();
+        let with_message = |message: &str| {
+            let mut data = experiment(&study);
+            data.timelines[0]
+                .records
+                .push(loki_core::recorder::TimelineRecord {
+                    time: LocalNanos::from_millis(40),
+                    kind: RecordKind::UserMessage(message.into()),
+                });
+            make_global(&study, &data, &GlobalOptions::default()).unwrap()
+        };
+        let event = std::mem::size_of::<GlobalEvent>();
+        let short = with_message("inline note");
+        assert_eq!(short.approx_size_bytes(), base.approx_size_bytes() + event);
+        let long = "x".repeat(Text::INLINE_CAPACITY + 10);
+        let spilled = with_message(&long);
+        assert_eq!(
+            spilled.approx_size_bytes(),
+            base.approx_size_bytes() + event + long.len()
         );
     }
 

@@ -220,7 +220,7 @@ fn make_global_strings(study: &Study, data: &ExperimentData) -> Result<RefOutput
                         host: data.host_name(*host).to_owned(),
                     }
                 }
-                RecordKind::UserMessage(m) => RefKind::UserMessage(m.clone()),
+                RecordKind::UserMessage(m) => RefKind::UserMessage(m.to_string()),
             };
             events.push(RefEvent {
                 sm: sm_name.clone(),
@@ -272,7 +272,7 @@ fn interned_make_global_matches_the_string_based_reference() {
             GlobalEventKind::Restart { host } => RefKind::Restart {
                 host: gt.host_name(*host).to_owned(),
             },
-            GlobalEventKind::UserMessage(m) => RefKind::UserMessage(m.clone()),
+            GlobalEventKind::UserMessage(m) => RefKind::UserMessage(m.to_string()),
         };
         assert_eq!(got_kind, want.kind);
     }

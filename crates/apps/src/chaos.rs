@@ -26,6 +26,7 @@
 //! pin.
 
 use loki_core::ids::SmId;
+use loki_core::small::Text;
 use loki_core::spec::{StateMachineSpec, StudyDef};
 use loki_core::study::Study;
 use loki_runtime::{App, AppFactory, NodeCtx, Payload};
@@ -123,7 +124,7 @@ impl App for ChaosNode {
     }
 
     fn on_fault(&mut self, ctx: &mut NodeCtx<'_>, fault: &str) {
-        ctx.record_user_message(format!("chaos probe injected {fault}"));
+        ctx.record_user_message(Text::from_fmt(format_args!("chaos probe injected {fault}")));
     }
 }
 

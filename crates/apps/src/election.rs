@@ -17,6 +17,7 @@
 
 use loki_core::ids::SmId;
 use loki_core::probe::{ActionProbe, FaultAction};
+use loki_core::small::Text;
 use loki_core::spec::{StateMachineSpec, StudyDef};
 use loki_core::study::Study;
 use loki_runtime::{App, AppFactory, NodeCtx, Payload};
@@ -330,7 +331,9 @@ impl App for Election {
             _ => {
                 // CorruptState / Custom (and future actions) are left to
                 // campaign-specific applications; record visibility.
-                ctx.record_user_message(format!("fault {fault} injected (no-op action)"));
+                ctx.record_user_message(Text::from_fmt(format_args!(
+                    "fault {fault} injected (no-op action)"
+                )));
             }
         }
     }

@@ -33,6 +33,7 @@
 use loki_core::fault::{FaultExpr, Trigger};
 use loki_core::ids::SmId;
 use loki_core::probe::{ActionProbe, FaultAction};
+use loki_core::small::Text;
 use loki_core::spec::{StateMachineSpec, StudyDef};
 use loki_core::study::Study;
 use loki_runtime::{App, AppFactory, NodeCtx, Payload};
@@ -157,8 +158,9 @@ const TAG_RETRY_BASE: u64 = 1 << 32;
 /// An operation awaiting acknowledgement (retry mode).
 struct PendingOp {
     attempts: u32,
-    key: u64,
-    value: u64,
+    /// The `Msg::Replicate` first broadcast for this operation; every retry
+    /// re-sends this same `Arc` instead of allocating a new message.
+    payload: Payload,
 }
 
 /// One store replica.
@@ -303,18 +305,18 @@ impl App for KvReplica {
                     let key = ctx.rng().gen_range(0..64);
                     let value = ctx.rng().gen();
                     self.store.insert(key, value);
-                    ctx.broadcast(Arc::new(Msg::Replicate {
+                    let payload: Payload = Arc::new(Msg::Replicate {
                         seq: self.seq,
                         key,
                         value,
-                    }));
+                    });
+                    ctx.broadcast(payload.clone());
                     if let Some(retry) = self.cfg.retry {
                         self.pending.insert(
                             self.seq,
                             PendingOp {
                                 attempts: 0,
-                                key,
-                                value,
+                                payload,
                             },
                         );
                         ctx.set_timer(retry.base_backoff_ns, TAG_RETRY_BASE | self.seq);
@@ -377,15 +379,17 @@ impl App for KvReplica {
                     return; // acknowledged in the meantime
                 };
                 op.attempts += 1;
-                let (attempts, key, value) = (op.attempts, op.key, op.value);
+                let attempts = op.attempts;
                 if attempts > retry.max_retries {
                     self.pending.remove(&seq);
                     return;
                 }
                 for _ in 0..retry.amplification.max(1) {
-                    ctx.broadcast(Arc::new(Msg::Replicate { seq, key, value }));
+                    ctx.broadcast(op.payload.clone());
                 }
-                ctx.record_user_message(format!("retry seq={seq} attempt={attempts}"));
+                ctx.record_user_message(Text::from_fmt(format_args!(
+                    "retry seq={seq} attempt={attempts}"
+                )));
                 let backoff = (retry.base_backoff_ns as f64
                     * retry.backoff_multiplier.powi(attempts as i32))
                     as u64;
@@ -405,10 +409,14 @@ impl App for KvReplica {
             }
             Some(action) if action.is_net() => {
                 let applied = ctx.apply_net_fault(&action);
-                ctx.record_user_message(format!("fault {fault}: net action applied={applied}"));
+                ctx.record_user_message(Text::from_fmt(format_args!(
+                    "fault {fault}: net action applied={applied}"
+                )));
             }
             Some(_) => {
-                ctx.record_user_message(format!("fault {fault} injected (no-op action)"));
+                ctx.record_user_message(Text::from_fmt(format_args!(
+                    "fault {fault} injected (no-op action)"
+                )));
             }
         }
     }

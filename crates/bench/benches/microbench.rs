@@ -417,7 +417,7 @@ fn make_global_strings_baseline(
                         host: data.host_name(*host).to_owned(),
                     }
                 }
-                RecordKind::UserMessage(m) => BaselineKind::UserMessage(m.clone()),
+                RecordKind::UserMessage(m) => BaselineKind::UserMessage(m.to_string()),
             };
             events.push(BaselineEvent {
                 sm: timeline.sm.raw(),

@@ -67,6 +67,15 @@ impl<Tag> Id<Tag> {
     }
 }
 
+/// The id with raw index `0`. Exists so ids can fill inline storage
+/// ([`InlineVec`](crate::small::InlineVec)); it names a real entry only
+/// when the table is non-empty.
+impl<Tag> Default for Id<Tag> {
+    fn default() -> Self {
+        Id::from_raw(0)
+    }
+}
+
 impl<Tag> Copy for Id<Tag> {}
 impl<Tag> Clone for Id<Tag> {
     fn clone(&self) -> Self {

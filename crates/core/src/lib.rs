@@ -20,8 +20,9 @@
 //! * [`recorder`] — local timelines of state changes and injections.
 //! * [`probe`] — the system-dependent injection interface.
 //! * [`campaign`] — experiment data containers and sync-sample records.
-//! * [`small`] — allocation-lean small-vector storage
-//!   ([`small::InlineVec`]) for the runtime's hot-path fan-out lists.
+//! * [`small`] — allocation-lean small-value storage: inline id lists
+//!   ([`small::InlineVec`]) for the runtime's hot-path fan-out lists and
+//!   inline strings ([`small::Text`]) for timeline user messages.
 //! * [`time`] — local clock readings and global-time interval bounds.
 //!
 //! The runtime (daemons, transports, node lifecycle) lives in
@@ -84,7 +85,7 @@ pub use fault::{CompiledExpr, CompiledFault, FaultExpr, FaultParser, Trigger};
 pub use ids::{EventId, FaultId, NameTable, SmId, StateId};
 pub use probe::{ActionProbe, FaultAction, Probe};
 pub use recorder::{LocalTimeline, RecordKind, Recorder, TimelineRecord};
-pub use small::InlineVec;
+pub use small::{InlineVec, Text};
 pub use spec::{CampaignDef, FaultSpec, NodePlacement, StateMachineSpec, StudyDef};
 pub use state_machine::{StateMachine, TransitionOutcome};
 pub use study::{CompiledSm, ReservedIds, Study};

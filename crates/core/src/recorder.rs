@@ -10,11 +10,13 @@
 //!
 //! Hosts appear as interned [`HostId`]s from the study's
 //! [`SymbolTable`](crate::ids::SymbolTable) — the timeline carries no owned
-//! strings except user messages, so cloning a record is a few machine words
-//! and the analysis hot path resolves hosts by array index, not by hashing
-//! names. Names reappear only at display/report boundaries.
+//! strings except user messages, which are [`Text`]: inline up to 30 bytes,
+//! so recording and cloning a short message allocates nothing. The
+//! analysis hot path resolves hosts by array index, not by hashing names.
+//! Names reappear only at display/report boundaries.
 
 use crate::ids::{EventId, FaultId, HostId, SmId, StateId};
+use crate::small::Text;
 use crate::time::LocalNanos;
 use serde::{Deserialize, Serialize};
 
@@ -42,7 +44,8 @@ pub enum RecordKind {
         host: HostId,
     },
     /// A free-form user message (§3.5.6 allows arbitrary messages).
-    UserMessage(String),
+    /// Derefs to `&str`; short messages are stored inline.
+    UserMessage(Text),
 }
 
 /// One record of a local timeline: a payload and its local occurrence time.
@@ -218,10 +221,10 @@ impl Recorder {
         self.push(time, RecordKind::FaultInjection { fault });
     }
 
-    /// Records a free-form user message. Accepts anything convertible into
-    /// a `String`, so callers holding an owned `String` move it instead of
-    /// re-allocating.
-    pub fn record_user_message(&mut self, time: LocalNanos, message: impl Into<String>) {
+    /// Records a free-form user message. Accepts `&str`, `String` or a
+    /// [`Text`] (build one with [`Text::from_fmt`] to format a short
+    /// message without allocating).
+    pub fn record_user_message(&mut self, time: LocalNanos, message: impl Into<Text>) {
         self.push(time, RecordKind::UserMessage(message.into()));
     }
 

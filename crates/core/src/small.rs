@@ -1,25 +1,33 @@
-//! Small-vector storage for hot-path fan-out lists.
+//! Small-value storage for hot paths: inline id lists and inline text.
 //!
-//! The runtime's steady state is dominated by tiny lists: a state's notify
-//! list (usually one or two machines), the per-host fan-out a daemon
-//! builds while routing, an actor's watcher list. Carrying those as `Vec`
-//! means one heap allocation per message — per event, at campaign scale.
-//! [`InlineVec`] keeps up to `N` elements inline in the containing value
-//! and spills to a heap `Vec` only beyond that, so the common case
-//! allocates nothing.
+//! The runtime's steady state is dominated by tiny values: a state's
+//! notify list (usually one or two machines), the per-host fan-out a
+//! daemon builds while routing, an actor's watcher list, a short user
+//! message on a timeline. Carrying those as `Vec` or `String` means one
+//! heap allocation per message — per event, at campaign scale.
 //!
-//! The implementation is `unsafe`-free (this crate forbids `unsafe`): the
-//! inline buffer is `[Option<T>; N]`, filled front to back, so no
-//! uninitialized storage is ever observed. That costs the niche-less types
-//! a word of padding per slot, which is irrelevant next to the allocation
-//! it saves; id-like types (`Option<u32>` newtypes) pay 4 bytes.
+//! * [`InlineVec`] keeps up to `N` `Copy` ids inline in the containing
+//!   value and spills to a boxed `Vec` only beyond that.
+//! * [`Text`] keeps strings of up to [`Text::INLINE_CAPACITY`] bytes
+//!   inline and spills longer ones to a boxed `str`;
+//!   [`Text::from_fmt`] formats straight into the inline buffer.
+//!
+//! Both are `unsafe`-free (this crate forbids `unsafe`). `InlineVec`
+//! stores `[T; N]` filled with `T::default()` past its length, so no
+//! uninitialized storage is ever observed and ids pay no `Option` padding;
+//! `Text` re-validates its inline bytes as UTF-8 on access, which for 30
+//! bytes costs a few nanoseconds against the allocation it saves.
 
 use std::fmt;
+use std::ops::Deref;
 
-/// A vector storing its first `N` elements inline, spilling to the heap
-/// beyond that. Push-only (plus [`clear`](InlineVec::clear)): exactly the
-/// shape of the runtime's fan-out lists, which are built once and then
-/// iterated or consumed.
+/// A vector of `Copy` values storing its first `N` elements inline,
+/// spilling to a boxed heap `Vec` beyond that. Push-only (plus
+/// [`clear`](InlineVec::clear)): exactly the shape of the runtime's
+/// fan-out lists, which are built once and then iterated or consumed.
+///
+/// The spill is boxed so an unspilled vector pays a single pointer for it:
+/// `InlineVec<u32, 4>` is 32 bytes (16 inline, a length, the box).
 ///
 /// # Examples
 ///
@@ -35,23 +43,30 @@ use std::fmt;
 /// v.extend([3, 4, 5]); // 5th and 6th elements spill to the heap
 /// assert!(v.spilled());
 /// assert_eq!(v.iter().copied().collect::<Vec<_>>(), vec![0, 1, 2, 3, 4, 5]);
+/// assert_eq!(std::mem::size_of::<InlineVec<u32, 4>>(), 32);
 /// ```
-pub struct InlineVec<T, const N: usize> {
-    /// Inline slots, occupied front to back; `None` past `inline_len`.
-    inline: [Option<T>; N],
-    /// Number of occupied inline slots (`<= N`).
-    inline_len: u32,
-    /// Overflow storage for elements past the first `N`.
-    spill: Vec<T>,
+#[derive(Clone)]
+pub struct InlineVec<T: Copy + Default, const N: usize> {
+    /// Inline slots; `inline[..min(len, N)]` are occupied, the rest hold
+    /// `T::default()`.
+    inline: [T; N],
+    /// Total number of elements (inline plus spilled).
+    len: u32,
+    /// Overflow storage for elements past the first `N` (`None` until the
+    /// first spill; kept, cleared, across [`clear`](InlineVec::clear)).
+    /// Boxed on purpose: a thin pointer instead of a 24-byte `Vec` keeps
+    /// `InlineVec<SmId, 4>` at 32 bytes and the runtime's `RtMsg` at 48.
+    #[allow(clippy::box_collection)]
+    spill: Option<Box<Vec<T>>>,
 }
 
-impl<T, const N: usize> InlineVec<T, N> {
+impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
     /// Creates an empty vector. Allocation-free.
     pub fn new() -> Self {
         InlineVec {
-            inline: std::array::from_fn(|_| None),
-            inline_len: 0,
-            spill: Vec::new(),
+            inline: [T::default(); N],
+            len: 0,
+            spill: None,
         }
     }
 
@@ -66,78 +81,75 @@ impl<T, const N: usize> InlineVec<T, N> {
     /// Appends `value`; allocates only once the inline capacity `N` is
     /// exhausted.
     pub fn push(&mut self, value: T) {
-        let i = self.inline_len as usize;
+        let i = self.len as usize;
         if i < N {
-            self.inline[i] = Some(value);
-            self.inline_len += 1;
+            self.inline[i] = value;
         } else {
-            self.spill.push(value);
+            self.spill.get_or_insert_with(Box::default).push(value);
         }
+        self.len = self.len.checked_add(1).expect("InlineVec length overflow");
     }
 
     /// Number of elements.
     pub fn len(&self) -> usize {
-        self.inline_len as usize + self.spill.len()
+        self.len as usize
     }
 
     /// Whether the vector is empty.
     pub fn is_empty(&self) -> bool {
-        self.inline_len == 0 && self.spill.is_empty()
+        self.len == 0
     }
 
     /// Whether elements have overflowed to the heap.
     pub fn spilled(&self) -> bool {
-        !self.spill.is_empty()
+        self.len() > N
     }
 
     /// Removes all elements, keeping any spill capacity.
     pub fn clear(&mut self) {
-        for slot in &mut self.inline[..self.inline_len as usize] {
-            *slot = None;
+        let inline = self.len().min(N);
+        self.inline[..inline].fill(T::default());
+        self.len = 0;
+        if let Some(spill) = &mut self.spill {
+            spill.clear();
         }
-        self.inline_len = 0;
-        self.spill.clear();
+    }
+
+    /// The elements as two slices, inline part first.
+    fn as_slices(&self) -> (&[T], &[T]) {
+        let spill = self.spill.as_deref().map_or(&[][..], Vec::as_slice);
+        (&self.inline[..self.len().min(N)], spill)
     }
 
     /// Iterates over the elements in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.inline.iter().flatten().chain(self.spill.iter())
+    pub fn iter(&self) -> std::iter::Chain<std::slice::Iter<'_, T>, std::slice::Iter<'_, T>> {
+        let (inline, spill) = self.as_slices();
+        inline.iter().chain(spill)
     }
 }
 
-impl<T, const N: usize> Default for InlineVec<T, N> {
+impl<T: Copy + Default, const N: usize> Default for InlineVec<T, N> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T: Clone, const N: usize> Clone for InlineVec<T, N> {
-    fn clone(&self) -> Self {
-        InlineVec {
-            inline: self.inline.clone(),
-            inline_len: self.inline_len,
-            spill: self.spill.clone(),
-        }
-    }
-}
-
-impl<T: fmt::Debug, const N: usize> fmt::Debug for InlineVec<T, N> {
+impl<T: Copy + Default + fmt::Debug, const N: usize> fmt::Debug for InlineVec<T, N> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_list().entries(self.iter()).finish()
     }
 }
 
 /// Equality is element-wise in insertion order; the inline/spill split is
-/// an implementation detail (vectors of different `N` still compare by
-/// content within the same `N`).
-impl<T: PartialEq, const N: usize> PartialEq for InlineVec<T, N> {
+/// an implementation detail.
+impl<T: Copy + Default + PartialEq, const N: usize> PartialEq for InlineVec<T, N> {
     fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && self.iter().zip(other.iter()).all(|(a, b)| a == b)
+        self.len == other.len && self.iter().eq(other.iter())
     }
 }
-impl<T: Eq, const N: usize> Eq for InlineVec<T, N> {}
+impl<T: Copy + Default + Eq, const N: usize> Eq for InlineVec<T, N> {}
 
-impl<T, const N: usize> FromIterator<T> for InlineVec<T, N> {
+impl<T: Copy + Default, const N: usize> FromIterator<T> for InlineVec<T, N> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
         let mut v = Self::new();
         v.extend(iter);
@@ -145,7 +157,7 @@ impl<T, const N: usize> FromIterator<T> for InlineVec<T, N> {
     }
 }
 
-impl<T, const N: usize> Extend<T> for InlineVec<T, N> {
+impl<T: Copy + Default, const N: usize> Extend<T> for InlineVec<T, N> {
     fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
         for value in iter {
             self.push(value);
@@ -153,29 +165,225 @@ impl<T, const N: usize> Extend<T> for InlineVec<T, N> {
     }
 }
 
-impl<T, const N: usize> IntoIterator for InlineVec<T, N> {
+impl<T: Copy + Default, const N: usize> IntoIterator for InlineVec<T, N> {
     type Item = T;
-    type IntoIter = std::iter::Chain<
-        std::iter::Flatten<std::array::IntoIter<Option<T>, N>>,
-        std::vec::IntoIter<T>,
-    >;
+    type IntoIter =
+        std::iter::Chain<std::iter::Take<std::array::IntoIter<T, N>>, std::vec::IntoIter<T>>;
 
     fn into_iter(self) -> Self::IntoIter {
-        // Occupied inline slots are a prefix, so `flatten` yields exactly
-        // the first `inline_len` elements in order.
-        self.inline.into_iter().flatten().chain(self.spill)
+        let inline = self.len().min(N);
+        let spill = self.spill.map_or_else(Vec::new, |spill| *spill);
+        self.inline.into_iter().take(inline).chain(spill)
     }
 }
 
-impl<'a, T, const N: usize> IntoIterator for &'a InlineVec<T, N> {
+impl<'a, T: Copy + Default, const N: usize> IntoIterator for &'a InlineVec<T, N> {
     type Item = &'a T;
-    type IntoIter = std::iter::Chain<
-        std::iter::Flatten<std::slice::Iter<'a, Option<T>>>,
-        std::slice::Iter<'a, T>,
-    >;
+    type IntoIter = std::iter::Chain<std::slice::Iter<'a, T>, std::slice::Iter<'a, T>>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.inline.iter().flatten().chain(self.spill.iter())
+        self.iter()
+    }
+}
+
+/// An immutable string that stores up to [`Text::INLINE_CAPACITY`] bytes
+/// inline and spills longer contents to the heap.
+///
+/// Timelines carry free-form user messages (§3.5.6); most are short
+/// (`"retry seq=12 attempt=3"`), so keeping them inline makes recording a
+/// message — and copying it onto the global timeline — allocation-free.
+/// `Text` derefs to `&str`, so readers use it like any string.
+///
+/// Build one with [`Text::from_fmt`] to format without a temporary
+/// `String`:
+///
+/// ```
+/// use loki_core::small::Text;
+///
+/// let (seq, attempt) = (12, 3);
+/// let short = Text::from_fmt(format_args!("retry seq={seq} attempt={attempt}"));
+/// assert_eq!(&*short, "retry seq=12 attempt=3");
+/// assert!(short.is_inline()); // formatted in place: no allocation
+/// assert!(short.starts_with("retry ")); // `str` methods through `Deref`
+///
+/// let long = Text::from("a message longer than thirty bytes spills");
+/// assert!(!long.is_inline());
+/// assert_eq!(long.heap_bytes(), long.len());
+/// assert_eq!(std::mem::size_of::<Text>(), 32);
+/// ```
+#[derive(Clone)]
+pub struct Text(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// `buf[..len]` is valid UTF-8; the rest is zero.
+    Inline {
+        len: u8,
+        buf: [u8; Text::INLINE_CAPACITY],
+    },
+    Heap(Box<str>),
+}
+
+impl Text {
+    /// The longest string, in bytes, stored without a heap allocation.
+    pub const INLINE_CAPACITY: usize = 30;
+
+    /// Formats `args` into a new text, allocating only when the result is
+    /// longer than [`Text::INLINE_CAPACITY`] bytes.
+    pub fn from_fmt(args: fmt::Arguments<'_>) -> Self {
+        if let Some(s) = args.as_str() {
+            return Text::from(s);
+        }
+        let mut w = TextWriter {
+            len: 0,
+            buf: [0; Text::INLINE_CAPACITY],
+            spill: None,
+        };
+        fmt::write(&mut w, args).expect("formatting into a Text cannot fail");
+        match w.spill {
+            Some(s) => Text(Repr::Heap(s.into_boxed_str())),
+            None => Text(Repr::Inline {
+                len: w.len as u8,
+                buf: w.buf,
+            }),
+        }
+    }
+
+    /// The contents as a string slice.
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            Repr::Inline { len, buf } => std::str::from_utf8(&buf[..usize::from(*len)])
+                .expect("inline text holds valid UTF-8"),
+            Repr::Heap(s) => s,
+        }
+    }
+
+    /// The contents as bytes. Unlike [`Text::as_str`] this skips the UTF-8
+    /// re-validation of inline contents, so byte-level scans (prefix
+    /// tests, digests) pay nothing for the inline storage.
+    pub fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Inline { len, buf } => &buf[..usize::from(*len)],
+            Repr::Heap(s) => s.as_bytes(),
+        }
+    }
+
+    /// Whether the contents are stored inline (no heap allocation).
+    pub fn is_inline(&self) -> bool {
+        matches!(self.0, Repr::Inline { .. })
+    }
+
+    /// Bytes this text owns on the heap: its length when spilled, `0` when
+    /// inline (inline bytes already sit inside `size_of::<Text>()`).
+    pub fn heap_bytes(&self) -> usize {
+        match &self.0 {
+            Repr::Inline { .. } => 0,
+            Repr::Heap(s) => s.len(),
+        }
+    }
+
+    fn inline(s: &str) -> Option<Self> {
+        let bytes = s.as_bytes();
+        if bytes.len() > Text::INLINE_CAPACITY {
+            return None;
+        }
+        let mut buf = [0; Text::INLINE_CAPACITY];
+        buf[..bytes.len()].copy_from_slice(bytes);
+        Some(Text(Repr::Inline {
+            len: bytes.len() as u8,
+            buf,
+        }))
+    }
+}
+
+/// Formatting sink behind [`Text::from_fmt`]: fills the inline buffer and
+/// moves everything to a `String` on the first write that would overflow.
+struct TextWriter {
+    len: usize,
+    buf: [u8; Text::INLINE_CAPACITY],
+    spill: Option<String>,
+}
+
+impl fmt::Write for TextWriter {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        if let Some(spill) = &mut self.spill {
+            spill.push_str(s);
+        } else if self.len + s.len() <= Text::INLINE_CAPACITY {
+            self.buf[self.len..self.len + s.len()].copy_from_slice(s.as_bytes());
+            self.len += s.len();
+        } else {
+            // `buf[..len]` is a concatenation of whole `&str`s.
+            let head = std::str::from_utf8(&self.buf[..self.len]).expect("whole str writes");
+            let mut spill = String::with_capacity(self.len + s.len());
+            spill.push_str(head);
+            spill.push_str(s);
+            self.spill = Some(spill);
+        }
+        Ok(())
+    }
+}
+
+impl Default for Text {
+    fn default() -> Self {
+        Text(Repr::Inline {
+            len: 0,
+            buf: [0; Text::INLINE_CAPACITY],
+        })
+    }
+}
+
+impl Deref for Text {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl From<&str> for Text {
+    fn from(s: &str) -> Self {
+        Text::inline(s).unwrap_or_else(|| Text(Repr::Heap(s.into())))
+    }
+}
+
+/// Short strings move inline (the `String`'s buffer is freed); long ones
+/// keep their heap buffer.
+impl From<String> for Text {
+    fn from(s: String) -> Self {
+        Text::inline(&s).unwrap_or_else(|| Text(Repr::Heap(s.into_boxed_str())))
+    }
+}
+
+impl fmt::Display for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Debug for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+/// Equality is that of the contents: where the bytes live is not
+/// observable.
+impl PartialEq for Text {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+impl Eq for Text {}
+
+impl PartialEq<str> for Text {
+    fn eq(&self, other: &str) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl PartialEq<&str> for Text {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_bytes() == other.as_bytes()
     }
 }
 
@@ -194,6 +402,7 @@ mod tests {
         assert!(v.spilled());
         assert_eq!(v.len(), 3);
         assert_eq!(v.iter().copied().collect::<Vec<_>>(), vec![1, 2, 3]);
+        assert_eq!(v.as_slices(), (&[1, 2][..], &[3][..]));
         assert_eq!(v.into_iter().collect::<Vec<_>>(), vec![1, 2, 3]);
     }
 
@@ -217,6 +426,26 @@ mod tests {
         let c: InlineVec<u32, 2> = (0..4).collect();
         assert_eq!(a, b);
         assert_ne!(a, c);
+        // A cleared-and-refilled vector keeps an (empty) spill box but
+        // still equals one that never spilled.
+        let mut d: InlineVec<u32, 2> = (0..5).collect();
+        d.clear();
+        d.extend(0..2);
+        assert_eq!(d, (0..2).collect::<InlineVec<u32, 2>>());
+    }
+
+    #[test]
+    fn spill_grows_past_its_first_buffer() {
+        let v: InlineVec<u32, 2> = (0..40).collect();
+        assert_eq!(v.len(), 40);
+        assert_eq!(
+            v.iter().copied().collect::<Vec<_>>(),
+            (0..40).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            v.into_iter().collect::<Vec<_>>(),
+            (0..40).collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -227,6 +456,7 @@ mod tests {
         assert!(!v.spilled());
         v.push(7);
         assert_eq!(v.iter().copied().collect::<Vec<_>>(), vec![7]);
+        assert_eq!(v.into_iter().collect::<Vec<_>>(), vec![7]);
     }
 
     #[test]
@@ -237,11 +467,38 @@ mod tests {
     }
 
     #[test]
-    fn works_with_non_copy_types() {
-        let mut v: InlineVec<String, 1> = InlineVec::new();
-        v.push("a".to_owned());
-        v.push("b".to_owned());
-        let owned: Vec<String> = v.into_iter().collect();
-        assert_eq!(owned, vec!["a".to_owned(), "b".to_owned()]);
+    fn text_inline_boundary() {
+        let at = "x".repeat(Text::INLINE_CAPACITY);
+        let over = "x".repeat(Text::INLINE_CAPACITY + 1);
+        assert!(Text::from(at.as_str()).is_inline());
+        assert_eq!(Text::from(at.as_str()).heap_bytes(), 0);
+        assert!(!Text::from(over.as_str()).is_inline());
+        assert_eq!(Text::from(over.as_str()).heap_bytes(), over.len());
+        assert_eq!(Text::from(over.clone()), *over.as_str());
+        assert!(Text::default().is_empty());
+        assert_eq!(Text::default(), "");
+    }
+
+    #[test]
+    fn text_from_fmt_matches_format_across_the_spill_point() {
+        // Multi-byte characters straddling the boundary must spill whole.
+        for n in 0..40 {
+            let expected = format!("{}é{}", "a".repeat(n), n);
+            let t = Text::from_fmt(format_args!("{}é{}", "a".repeat(n), n));
+            assert_eq!(t.as_str(), expected);
+            assert_eq!(t.is_inline(), expected.len() <= Text::INLINE_CAPACITY);
+        }
+        let literal = Text::from_fmt(format_args!("no arguments"));
+        assert_eq!(literal, "no arguments");
+    }
+
+    #[test]
+    fn text_compares_by_content() {
+        let long = "y".repeat(50);
+        assert_eq!(Text::from("same"), Text::from(String::from("same")));
+        assert_ne!(Text::from("same"), Text::from(long.as_str()));
+        assert_eq!(Text::from(long.clone()), *long.as_str());
+        let a = Text::from("same");
+        assert_eq!(format!("{a} {a:?}"), "same \"same\"");
     }
 }

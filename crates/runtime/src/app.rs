@@ -34,6 +34,7 @@ use loki_core::fault::FaultParser;
 use loki_core::ids::{FaultId, HostId, SmId, StateId, SymbolTable};
 use loki_core::probe::{ActionProbe, FaultAction};
 use loki_core::recorder::RecordKind;
+use loki_core::small::Text;
 use loki_core::state_machine::StateMachine;
 use loki_core::study::Study;
 use loki_core::time::LocalNanos;
@@ -352,11 +353,17 @@ impl NodeCtx<'_> {
         self.port.send_app(self.core.me, to, payload);
     }
 
-    /// Broadcasts an application message to every other executing machine.
+    /// Broadcasts an application message to every other executing machine,
+    /// in ascending machine order. Allocation-free: every recipient gets a
+    /// clone of the one `Arc` payload, so retries can re-send the payload
+    /// they already hold instead of building a new one.
     pub fn broadcast(&mut self, payload: Payload) {
         let me = self.core.me;
-        for sm in self.port.live_machines() {
-            if sm != me {
+        // A local `Arc` bump keeps the study borrowed while `send_to`
+        // borrows the port.
+        let study = Arc::clone(&self.core.study);
+        for sm in study.sms.ids() {
+            if sm != me && self.port.is_live(sm) {
                 self.send_to(sm, payload.clone());
             }
         }
@@ -449,10 +456,11 @@ impl NodeCtx<'_> {
         self.core.restarted
     }
 
-    /// Appends a free-form message to the local timeline. Accepts anything
-    /// convertible into a `String`, so callers holding an owned `String`
-    /// move it instead of re-allocating.
-    pub fn record_user_message(&mut self, message: impl Into<String>) {
+    /// Appends a free-form message to the local timeline. Accepts `&str`,
+    /// `String` or a [`Text`]; format with
+    /// `Text::from_fmt(format_args!(..))` and a message of up to
+    /// [`Text::INLINE_CAPACITY`] bytes is recorded without allocating.
+    pub fn record_user_message(&mut self, message: impl Into<Text>) {
         let now = self.port.now();
         self.port
             .record(now, RecordKind::UserMessage(message.into()));

@@ -14,7 +14,8 @@ use loki_core::time::LocalNanos;
 /// A notification's recipient list. Fan-outs are almost always one or two
 /// machines (a state's notify list, the per-host slice of a route), so the
 /// list lives inline in the message and the steady-state notification path
-/// allocates nothing.
+/// allocates nothing. It is 32 bytes, which keeps [`RtMsg`] — the body of
+/// every simulated message event — at 48 bytes.
 pub type SmTargets = InlineVec<SmId, 4>;
 
 /// All messages exchanged by runtime actors.
@@ -214,6 +215,14 @@ mod tests {
             payload: std::sync::Arc::new(42u32),
         };
         assert!(format!("{m:?}").contains("App"));
+    }
+
+    #[test]
+    fn messages_stay_small() {
+        // Every simulated message event carries an `RtMsg` through the
+        // event slab; growing it slows the whole message path.
+        assert_eq!(std::mem::size_of::<SmTargets>(), 32);
+        assert!(std::mem::size_of::<RtMsg>() <= 48);
     }
 
     #[test]

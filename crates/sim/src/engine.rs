@@ -53,7 +53,7 @@ use std::sync::Arc;
 pub struct HostId(pub u32);
 
 /// Identifies an actor (a simulated process).
-#[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ActorId(pub u32);
 
 /// Identifies a timer set by an actor.

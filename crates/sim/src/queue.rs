@@ -10,9 +10,11 @@
 //!   Heap sifts therefore move small fixed-size keys instead of full
 //!   message payloads — and since all four sibling keys share one cache
 //!   line, the 4-ary sift-down touches about half the lines a binary heap
-//!   of the same size does. Once the slab has grown to the simulation's
-//!   high-water mark of in-flight events, pushing an event allocates
-//!   nothing.
+//!   of the same size does. The sift-down is bottom-up: the hole walks to
+//!   a leaf along minimum children and the displaced last key sifts back
+//!   up, saving a comparison per level. Once the slab has grown to the
+//!   simulation's high-water mark of in-flight events, pushing an event
+//!   allocates nothing.
 //! * [`TimerSlab`] — live timers occupy generation-stamped slots.
 //!   Cancelling is one array write (bump the generation); the pop-side
 //!   liveness check is one generation compare. Unlike a tombstone set,
@@ -106,34 +108,64 @@ impl Heap4 {
         Some(top)
     }
 
-    /// Places `key` at the root and sifts it down to its position.
+    /// Places `key` at the root and sifts it down to its position,
+    /// bottom-up: the hole left by the popped root first walks to a leaf
+    /// along the minimum children — one 3-compare scan per level and no
+    /// comparison against `key` — and `key` (the old last element, so
+    /// usually among the largest) is then sifted *up* from that leaf, which
+    /// rarely takes more than a step. A top-down sift would compare `key`
+    /// at every level on the way down. Keys are totally ordered, so the
+    /// resulting heap pops in exactly the same order.
     fn sift_down(&mut self, key: HeapKey) {
         let keys = &mut self.keys[..];
-        let mut i = 0;
+        let len = keys.len();
+        let mut hole = 0;
         loop {
-            let first = i * 4 + 1;
-            if first >= keys.len() {
+            let first = hole * 4 + 1;
+            if first >= len {
                 break;
             }
-            // One slice borrow covers all (≤4) children; the scan compares
-            // packed `u128`s, so picking the min child is branch-cheap.
-            let children = &keys[first..(first + 4).min(keys.len())];
-            let mut min = first;
-            let mut min_key = children[0];
-            for (off, &child) in children.iter().enumerate().skip(1) {
-                if child < min_key {
-                    min = first + off;
-                    min_key = child;
+            let min = if first + 4 <= len {
+                // Full sibling group (all four share one cache line): a
+                // fixed two-round tournament.
+                let a = if keys[first + 1] < keys[first] {
+                    first + 1
+                } else {
+                    first
+                };
+                let b = if keys[first + 3] < keys[first + 2] {
+                    first + 3
+                } else {
+                    first + 2
+                };
+                if keys[b] < keys[a] {
+                    b
+                } else {
+                    a
                 }
-            }
-            if min_key < key {
-                keys[i] = min_key;
-                i = min;
+            } else {
+                // The partial last group.
+                let mut min = first;
+                for child in first + 1..len {
+                    if keys[child] < keys[min] {
+                        min = child;
+                    }
+                }
+                min
+            };
+            keys[hole] = keys[min];
+            hole = min;
+        }
+        while hole > 0 {
+            let parent = (hole - 1) / 4;
+            if key < keys[parent] {
+                keys[hole] = keys[parent];
+                hole = parent;
             } else {
                 break;
             }
         }
-        keys[i] = key;
+        keys[hole] = key;
     }
 }
 

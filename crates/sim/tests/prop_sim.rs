@@ -38,10 +38,11 @@ impl Actor<u32> for Sink {
 /// plus a cancelled-timer tombstone set).
 #[derive(Clone, Debug)]
 enum QOp {
-    /// Schedule a message `dt % 4` ns ahead (small range forces time ties).
-    Push(u8),
-    /// Arm a timer `dt % 4` ns ahead.
-    Timer(u8),
+    /// Schedule a message `dt % horizon` ns ahead (a small horizon forces
+    /// time ties, a large one keeps far-future keys queued).
+    Push(u16),
+    /// Arm a timer `dt % horizon` ns ahead.
+    Timer(u16),
     /// Cancel the n-th currently live timer (mod the live count).
     Cancel(u8),
     /// Pop the next live entry.
@@ -50,10 +51,18 @@ enum QOp {
 
 fn qop_strategy() -> impl Strategy<Value = QOp> {
     prop_oneof![
-        any::<u8>().prop_map(QOp::Push),
-        any::<u8>().prop_map(QOp::Timer),
+        any::<u16>().prop_map(QOp::Push),
+        any::<u16>().prop_map(QOp::Timer),
         any::<u8>().prop_map(QOp::Cancel),
         Just(QOp::Pop),
+    ]
+}
+
+/// Pushes and timer arms only: builds up a deep queue.
+fn fill_strategy() -> impl Strategy<Value = QOp> {
+    prop_oneof![
+        any::<u16>().prop_map(QOp::Push),
+        any::<u16>().prop_map(QOp::Timer),
     ]
 }
 
@@ -63,6 +72,128 @@ fn qop_strategy() -> impl Strategy<Value = QOp> {
 enum Item {
     Msg(u32),
     Timer(u32, TimerKey),
+}
+
+/// What one run of [`check_against_reference`] saw of the queue's shape.
+#[derive(Default)]
+struct QueueShape {
+    /// Most entries pending at once.
+    peak: usize,
+    /// Whether the heap held ≥ 500 keys while its last sibling group was
+    /// partial (`len % 4 != 1`).
+    deep_partial_group: bool,
+}
+
+/// Applies `ops`, then drains, against both the index-heap queue plus
+/// timer slab and the reference model, and checks that they pop the
+/// identical sequence. Op `k` happens at time `k + 1`; scheduled times lie
+/// `dt % horizon` ahead.
+fn check_against_reference(ops: &[QOp], horizon: u64) -> Result<QueueShape, TestCaseError> {
+    // New core.
+    let mut queue: EventQueue<Item> = EventQueue::new();
+    let mut timers = TimerSlab::new();
+    // Reference model (the pre-index-heap structures).
+    let mut ref_heap: BinaryHeap<std::cmp::Reverse<(u64, u64, u32)>> = BinaryHeap::new();
+    let mut ref_seq = 0u64;
+    let mut ref_cancelled: HashSet<u32> = HashSet::new();
+
+    // Shared bookkeeping so both sides cancel the *same* timer.
+    let mut live: Vec<(u32, TimerKey)> = Vec::new();
+    let mut label = 0u32;
+    let mut now = 0u64;
+    let mut popped_new: Vec<Option<(u64, u32)>> = Vec::new();
+    let mut popped_ref: Vec<Option<(u64, u32)>> = Vec::new();
+    let mut shape = QueueShape::default();
+    let mut observe = |len: usize| {
+        shape.peak = shape.peak.max(len);
+        shape.deep_partial_group |= len >= 500 && len % 4 != 1;
+    };
+
+    let pop_new = |queue: &mut EventQueue<Item>,
+                   timers: &mut TimerSlab,
+                   live: &mut Vec<(u32, TimerKey)>|
+     -> Option<(u64, u32)> {
+        loop {
+            match queue.pop() {
+                None => return None,
+                Some((t, Item::Msg(l))) => return Some((t, l)),
+                Some((t, Item::Timer(l, key))) => {
+                    if timers.fire(key) {
+                        live.retain(|&(ll, _)| ll != l);
+                        return Some((t, l));
+                    }
+                    // Cancelled while queued: skip, like the engine.
+                }
+            }
+        }
+    };
+    let pop_ref = |ref_heap: &mut BinaryHeap<std::cmp::Reverse<(u64, u64, u32)>>,
+                   ref_cancelled: &mut HashSet<u32>|
+     -> Option<(u64, u32)> {
+        loop {
+            match ref_heap.pop() {
+                None => return None,
+                Some(std::cmp::Reverse((t, _, l))) => {
+                    if ref_cancelled.remove(&l) {
+                        continue;
+                    }
+                    return Some((t, l));
+                }
+            }
+        }
+    };
+
+    for op in ops {
+        now += 1;
+        match *op {
+            QOp::Push(dt) => {
+                let t = now + u64::from(dt) % horizon;
+                queue.push(t, Item::Msg(label));
+                ref_heap.push(std::cmp::Reverse((t, ref_seq, label)));
+                ref_seq += 1;
+                label += 1;
+            }
+            QOp::Timer(dt) => {
+                let t = now + u64::from(dt) % horizon;
+                let key = timers.alloc();
+                queue.push(t, Item::Timer(label, key));
+                ref_heap.push(std::cmp::Reverse((t, ref_seq, label)));
+                ref_seq += 1;
+                live.push((label, key));
+                label += 1;
+            }
+            QOp::Cancel(i) => {
+                if !live.is_empty() {
+                    let (l, key) = live.remove(i as usize % live.len());
+                    prop_assert!(timers.cancel(key));
+                    ref_cancelled.insert(l);
+                }
+            }
+            QOp::Pop => {
+                popped_new.push(pop_new(&mut queue, &mut timers, &mut live));
+                popped_ref.push(pop_ref(&mut ref_heap, &mut ref_cancelled));
+            }
+        }
+        observe(queue.len());
+    }
+    // Drain both completely: the full pop sequence must match.
+    loop {
+        let a = pop_new(&mut queue, &mut timers, &mut live);
+        let b = pop_ref(&mut ref_heap, &mut ref_cancelled);
+        observe(queue.len());
+        let done = a.is_none() && b.is_none();
+        popped_new.push(a);
+        popped_ref.push(b);
+        if done {
+            break;
+        }
+    }
+    prop_assert_eq!(popped_new, popped_ref);
+    // Slot recycling: the slab never exceeds the number of timers that
+    // were ever live at once (bounded by total arms, unaffected by
+    // cancel volume).
+    prop_assert!(timers.slots() <= label as usize);
+    Ok(shape)
 }
 
 proptest! {
@@ -77,103 +208,24 @@ proptest! {
     fn event_core_matches_reference_heap_model(
         ops in prop::collection::vec(qop_strategy(), 1..120),
     ) {
-        // New core.
-        let mut queue: EventQueue<Item> = EventQueue::new();
-        let mut timers = TimerSlab::new();
-        // Reference model (the pre-index-heap structures).
-        let mut ref_heap: BinaryHeap<std::cmp::Reverse<(u64, u64, u32)>> = BinaryHeap::new();
-        let mut ref_seq = 0u64;
-        let mut ref_cancelled: HashSet<u32> = HashSet::new();
+        check_against_reference(&ops, 4)?;
+    }
 
-        // Shared bookkeeping so both sides cancel the *same* timer.
-        let mut live: Vec<(u32, TimerKey)> = Vec::new();
-        let mut label = 0u32;
-        let mut now = 0u64;
-        let mut popped_new: Vec<Option<(u64, u32)>> = Vec::new();
-        let mut popped_ref: Vec<Option<(u64, u32)>> = Vec::new();
-
-        let pop_new = |queue: &mut EventQueue<Item>,
-                           timers: &mut TimerSlab,
-                           live: &mut Vec<(u32, TimerKey)>|
-         -> Option<(u64, u32)> {
-            loop {
-                match queue.pop() {
-                    None => return None,
-                    Some((t, Item::Msg(l))) => return Some((t, l)),
-                    Some((t, Item::Timer(l, key))) => {
-                        if timers.fire(key) {
-                            live.retain(|&(ll, _)| ll != l);
-                            return Some((t, l));
-                        }
-                        // Cancelled while queued: skip, like the engine.
-                    }
-                }
-            }
-        };
-        let pop_ref = |ref_heap: &mut BinaryHeap<std::cmp::Reverse<(u64, u64, u32)>>,
-                           ref_cancelled: &mut HashSet<u32>|
-         -> Option<(u64, u32)> {
-            loop {
-                match ref_heap.pop() {
-                    None => return None,
-                    Some(std::cmp::Reverse((t, _, l))) => {
-                        if ref_cancelled.remove(&l) {
-                            continue;
-                        }
-                        return Some((t, l));
-                    }
-                }
-            }
-        };
-
-        for op in ops {
-            now += 1;
-            match op {
-                QOp::Push(dt) => {
-                    let t = now + u64::from(dt % 4);
-                    queue.push(t, Item::Msg(label));
-                    ref_heap.push(std::cmp::Reverse((t, ref_seq, label)));
-                    ref_seq += 1;
-                    label += 1;
-                }
-                QOp::Timer(dt) => {
-                    let t = now + u64::from(dt % 4);
-                    let key = timers.alloc();
-                    queue.push(t, Item::Timer(label, key));
-                    ref_heap.push(std::cmp::Reverse((t, ref_seq, label)));
-                    ref_seq += 1;
-                    live.push((label, key));
-                    label += 1;
-                }
-                QOp::Cancel(i) => {
-                    if !live.is_empty() {
-                        let (l, key) = live.remove(i as usize % live.len());
-                        prop_assert!(timers.cancel(key));
-                        ref_cancelled.insert(l);
-                    }
-                }
-                QOp::Pop => {
-                    popped_new.push(pop_new(&mut queue, &mut timers, &mut live));
-                    popped_ref.push(pop_ref(&mut ref_heap, &mut ref_cancelled));
-                }
-            }
-        }
-        // Drain both completely: the full pop sequence must match.
-        loop {
-            let a = pop_new(&mut queue, &mut timers, &mut live);
-            let b = pop_ref(&mut ref_heap, &mut ref_cancelled);
-            let done = a.is_none() && b.is_none();
-            popped_new.push(a);
-            popped_ref.push(b);
-            if done {
-                break;
-            }
-        }
-        prop_assert_eq!(popped_new, popped_ref);
-        // Slot recycling: the slab never exceeds the number of timers that
-        // were ever live at once (bounded by total arms, unaffected by
-        // cancel volume).
-        prop_assert!(timers.slots() <= label as usize);
+    /// The same equivalence on deep queues: a fill phase of 500–700
+    /// far-future pushes, then 1,000–1,400 mixed operations with horizons
+    /// up to 65,536 ns, so the 4-ary heap reaches ≥ 500 keys (four levels
+    /// and more) and every sift path — full and partial last sibling
+    /// groups, long walks to a leaf — is exercised, not just the shallow
+    /// heaps of the tie-heavy case above.
+    #[test]
+    fn event_core_matches_reference_heap_model_deep(
+        fill in prop::collection::vec(fill_strategy(), 500..700),
+        mixed in prop::collection::vec(qop_strategy(), 1000..1400),
+    ) {
+        let ops: Vec<QOp> = fill.into_iter().chain(mixed).collect();
+        let shape = check_against_reference(&ops, 1 << 16)?;
+        prop_assert!(shape.peak >= 500, "peak {} pending keys", shape.peak);
+        prop_assert!(shape.deep_partial_group);
     }
 
     /// FIFO per sender-receiver pair: messages sent in order arrive in

@@ -33,10 +33,17 @@
 //! 0 and 1. Record kinds 2 and 3 are extensions: the thesis stores restart
 //! host information "in the local timeline" without specifying an encoding,
 //! and permits arbitrary user messages.
+//!
+//! A user message is everything after the single space that follows
+//! `<Time.Lo>`, kept verbatim (inner and trailing whitespace included) with
+//! three escapes so it stays on one line: `\\` for a backslash, `\n` for a
+//! line feed and `\r` for a carriage return. Any other escape is a
+//! [`ParseError`].
 
 use crate::error::ParseError;
 use loki_core::ids::SymbolTable;
 use loki_core::recorder::{HostStint, LocalTimeline, RecordKind, TimelineRecord};
+use loki_core::small::Text;
 use loki_core::study::Study;
 use loki_core::time::LocalNanos;
 use std::collections::HashMap;
@@ -114,7 +121,9 @@ pub fn write(study: &Study, symbols: &SymbolTable, timeline: &LocalTimeline) -> 
                 out.push_str(&format!("2 {} {} {}\n", symbols.host_name(*host), hi, lo));
             }
             RecordKind::UserMessage(msg) => {
-                out.push_str(&format!("3 {} {} {}\n", hi, lo, msg));
+                out.push_str(&format!("3 {} {} ", hi, lo));
+                push_escaped(&mut out, msg);
+                out.push('\n');
             }
         }
     }
@@ -302,10 +311,10 @@ pub fn parse(
                     }
                     "3" => {
                         let time = parse_time(tokens.next(), tokens.next(), lineno)?;
-                        let rest: Vec<&str> = tokens.collect();
+                        let message = unescape(message_field(raw), lineno)?;
                         records.push(TimelineRecord {
                             time,
-                            kind: RecordKind::UserMessage(rest.join(" ")),
+                            kind: RecordKind::UserMessage(message),
                         });
                     }
                     other => {
@@ -348,6 +357,60 @@ pub fn parse(
         records,
         stints,
     })
+}
+
+/// Appends `msg` with backslash, line feed and carriage return escaped, so
+/// the record stays on one line.
+fn push_escaped(out: &mut String, msg: &str) {
+    for c in msg.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            c => out.push(c),
+        }
+    }
+}
+
+/// The still-escaped message of a `3 <hi> <lo> <message>` line (untrimmed):
+/// everything after the one separator that follows `<lo>`.
+fn message_field(raw: &str) -> &str {
+    let mut rest = raw;
+    for _ in 0..3 {
+        rest = rest.trim_start();
+        rest = &rest[rest.find(char::is_whitespace).unwrap_or(rest.len())..];
+    }
+    let mut chars = rest.chars();
+    chars.next();
+    chars.as_str()
+}
+
+/// Reverses [`push_escaped`].
+fn unescape(field: &str, lineno: usize) -> Result<Text, ParseError> {
+    if !field.contains('\\') {
+        return Ok(Text::from(field));
+    }
+    let mut out = String::with_capacity(field.len());
+    let mut chars = field.chars();
+    while let Some(c) = chars.next() {
+        if c != '\\' {
+            out.push(c);
+            continue;
+        }
+        match chars.next() {
+            Some('\\') => out.push('\\'),
+            Some('n') => out.push('\n'),
+            Some('r') => out.push('\r'),
+            Some(other) => {
+                return Err(ParseError::at(
+                    lineno,
+                    format!("invalid escape `\\{other}` in user message"),
+                ))
+            }
+            None => return Err(ParseError::at(lineno, "user message ends in a lone `\\`")),
+        }
+    }
+    Ok(Text::from(out))
 }
 
 fn expect_keyword(line: &str, keyword: &str, lineno: usize) -> Result<(), ParseError> {
@@ -527,6 +590,50 @@ mod tests {
         let good = write(&study, &symbols, &timeline);
         let tampered = good.replace("1 0 ", "9 0 ");
         assert!(parse(&study, &mut symbols, &tampered).is_err());
+    }
+
+    /// Writes a one-message timeline and parses it back.
+    fn message_roundtrip(message: &str) -> Result<LocalTimeline, ParseError> {
+        let study = study();
+        let mut symbols = symbols();
+        let black = study.sm_id("black").unwrap();
+        let mut rec = Recorder::new(black, symbols.lookup_host("host1").unwrap());
+        rec.record_user_message(LocalNanos::from_millis(3), message);
+        let text = write(&study, &symbols, &rec.finish());
+        parse(&study, &mut symbols, &text)
+    }
+
+    #[test]
+    fn user_messages_keep_whitespace_and_cannot_forge_records() {
+        for message in [
+            "a  b ",
+            " lead",
+            "",
+            "\t tab\t",
+            "line\n1 0 0 13",
+            "crlf\r\n",
+            "back\\slash \\n",
+        ] {
+            let parsed = message_roundtrip(message).unwrap();
+            assert_eq!(parsed.records.len(), 1, "{message:?}");
+            assert!(
+                matches!(&parsed.records[0].kind, RecordKind::UserMessage(m) if m == message),
+                "{message:?} read back as {:?}",
+                parsed.records[0].kind
+            );
+        }
+    }
+
+    #[test]
+    fn bad_message_escapes_are_typed_errors() {
+        let study = study();
+        let mut symbols = symbols();
+        let text = write(&study, &symbols, &sample_timeline(&study, &symbols));
+        for bad in ["hello \\q", "trailing \\"] {
+            let tampered = text.replace("hello world", bad);
+            let err = parse(&study, &mut symbols, &tampered).unwrap_err();
+            assert!(err.line > 0 && err.message.contains('\\'), "{err}");
+        }
     }
 
     #[test]

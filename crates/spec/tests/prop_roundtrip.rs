@@ -14,6 +14,22 @@ fn name() -> impl Strategy<Value = String> {
     "[A-Za-z][A-Za-z0-9_]{0,11}".prop_map(|s| s)
 }
 
+/// Arbitrary message strings: any Unicode scalar, weighted towards the
+/// characters a line- and whitespace-based format can mangle (separators,
+/// line breaks, the escape character and the letters it escapes).
+fn message() -> impl Strategy<Value = String> {
+    let ch = prop_oneof![
+        (0usize..12).prop_map(|i| {
+            [
+                ' ', '\\', '\n', '\r', '\t', 'n', 'r', '0', '1', '3', 'é', '\u{85}',
+            ][i]
+        }),
+        (0u32..0x80).prop_map(|c| char::from_u32(c).unwrap()),
+        (0x80u32..0x11_0000).prop_map(|c| char::from_u32(c).unwrap_or('\u{fffd}')),
+    ];
+    prop::collection::vec(ch, 0..40).prop_map(|chars| chars.into_iter().collect())
+}
+
 fn fault_expr(depth: u32) -> BoxedStrategy<FaultExpr> {
     let atom = (name(), name()).prop_map(|(sm, st)| FaultExpr::atom(&sm, &st));
     if depth == 0 {
@@ -105,6 +121,36 @@ proptest! {
             } else {
                 rec.record_state_change(LocalNanos(*t), go, b);
             }
+        }
+        let timeline = rec.finish();
+        let text = timeline_file::write(&study, &symbols, &timeline);
+        let parsed = timeline_file::parse(&study, &mut symbols, &text).unwrap();
+        prop_assert_eq!(parsed, timeline);
+    }
+
+    /// User messages of any content survive write → parse unchanged, one
+    /// record each, whatever whitespace, line breaks or backslashes they
+    /// hold.
+    #[test]
+    fn timeline_user_messages_roundtrip(
+        messages in prop::collection::vec(message(), 1..6),
+    ) {
+        let def = StudyDef::new("s").machine(
+            StateMachineSpec::builder("m")
+                .states(&["A"])
+                .events(&["GO"])
+                .state("A", &[], &[("GO", "A")])
+                .build(),
+        );
+        let study = Study::compile(&def).unwrap();
+        let m = study.sm_id("m").unwrap();
+        let go = study.events.lookup("GO").unwrap();
+        let a = study.states.lookup("A").unwrap();
+        let mut symbols = SymbolTable::for_hosts(["host1"]);
+        let mut rec = Recorder::new(m, symbols.lookup_host("host1").unwrap());
+        for (i, message) in messages.iter().enumerate() {
+            rec.record_user_message(LocalNanos(2 * i as u64), message.as_str());
+            rec.record_state_change(LocalNanos(2 * i as u64 + 1), go, a);
         }
         let timeline = rec.finish();
         let text = timeline_file::write(&study, &symbols, &timeline);

@@ -9,6 +9,7 @@
 //! cargo run --example file_driven_campaign
 //! ```
 
+use loki::core::small::Text;
 use loki::core::study::Study;
 use loki::runtime::harness::{CampaignPipeline, SimHarnessConfig};
 use loki::runtime::AppFactory;
@@ -97,7 +98,7 @@ impl App for Pulser {
         }
     }
     fn on_fault(&mut self, ctx: &mut NodeCtx<'_>, fault: &str) {
-        ctx.record_user_message(format!("probe injected {fault}"));
+        ctx.record_user_message(Text::from_fmt(format_args!("probe injected {fault}")));
     }
 }
 

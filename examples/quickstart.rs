@@ -14,6 +14,7 @@
 //! ```
 
 use loki::core::fault::{FaultExpr, Trigger};
+use loki::core::small::Text;
 use loki::core::spec::{StateMachineSpec, StudyDef};
 use loki::core::study::Study;
 use loki::measure::prelude::*;
@@ -77,7 +78,7 @@ impl App for Observer {
     fn on_fault(&mut self, ctx: &mut NodeCtx<'_>, fault: &str) {
         // The probe's injectFault(): here we only log; campaigns usually
         // crash/corrupt the process.
-        ctx.record_user_message(format!("injected {fault}"));
+        ctx.record_user_message(Text::from_fmt(format_args!("injected {fault}")));
     }
 }
 
