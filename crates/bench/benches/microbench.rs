@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, BatchSize, Criterion};
 use loki_analysis::global::{make_global, GlobalOptions};
-use loki_analysis::{accepted_timelines, analyze, AnalysisOptions};
+use loki_analysis::{accepted_timelines, analyze, analyze_one_pooled, AnalysisOptions, ShellPool};
 use loki_apps::token_ring::{ring_factory, ring_study, RingConfig};
 use loki_bench::accuracy::{injection_accuracy, AccuracyConfig};
 use loki_bench::report;
@@ -25,7 +25,9 @@ use loki_core::view::PartialView;
 use loki_measure::fig42::{fig_4_2, predicate_3};
 use loki_measure::obsfn::{ImpulseStep, ObservationFn, UpDown};
 use loki_measure::prelude::*;
-use loki_runtime::harness::{run_study_with_workers, CampaignPipeline, SimHarnessConfig};
+use loki_runtime::harness::{
+    run_study_with_workers, try_run_experiment, CampaignPipeline, SimHarnessConfig,
+};
 use loki_runtime::messages::NotifyRouting;
 use loki_sim::config::HostConfig;
 use std::collections::HashMap;
@@ -588,9 +590,11 @@ fn bench_campaign_pipeline(c: &mut Criterion) {
 }
 
 /// Many-worlds batching: the per-experiment engine (a fresh world built
-/// and torn down for every experiment — `per_experiment_baseline`) against
-/// the batched `WorldSet` pipeline that interleaves K reset-reused worlds
-/// per worker, on a micro-experiment campaign.
+/// and torn down for every experiment — `try_run_experiment`, then
+/// `analyze_one_pooled` into a warm shell pool) against the batched
+/// `WorldSet` pipeline that interleaves K reset-reused worlds per worker,
+/// on a micro-experiment campaign. The per-experiment loop commits in
+/// order by construction, so its rate carries no reorder-buffer cost.
 ///
 /// The workload is the regime batching targets: a two-host token ring with
 /// millisecond phases and one pre/post sync round, so each experiment is a
@@ -631,13 +635,21 @@ fn bench_batched_worlds(c: &mut Criterion) {
         .collect();
     cfg.sync_rounds = 1;
 
-    let run = |batch: Option<usize>, per_experiment: bool| {
+    let shells = ShellPool::default();
+    let per_experiment = || {
+        let opts = AnalysisOptions::default();
+        (0..EXPERIMENTS)
+            .map(|k| {
+                let data = try_run_experiment(&study, factory.clone(), &cfg, k)
+                    .expect("valid campaign config");
+                analyze_one_pooled(&study, &data, &opts, &shells)
+            })
+            .collect::<Vec<_>>()
+    };
+    let batched = |batch: usize| {
         let mut cfg = cfg.clone();
-        cfg.batch = batch;
-        let mut pipeline = CampaignPipeline::new(study.clone(), factory.clone(), cfg);
-        if per_experiment {
-            pipeline = pipeline.per_experiment_baseline();
-        }
+        cfg.batch = Some(batch);
+        let pipeline = CampaignPipeline::new(study.clone(), factory.clone(), cfg);
         let mut out = Vec::with_capacity(EXPERIMENTS as usize);
         pipeline
             .run_with_workers(EXPERIMENTS, WORKERS, |analyzed| out.push(analyzed))
@@ -658,11 +670,11 @@ fn bench_batched_worlds(c: &mut Criterion) {
         (EXPERIMENTS as f64 / best, out)
     };
 
-    let (per_exp_rate, per_exp_results) = time(&|| run(None, true));
+    let (per_exp_rate, per_exp_results) = time(&per_experiment);
     let mut best_rate = 0.0f64;
     let mut best_k = 0usize;
     for k in [4usize, 8, 16] {
-        let (rate, results) = time(&|| run(Some(k), false));
+        let (rate, results) = time(&|| batched(k));
         assert_eq!(
             results, per_exp_results,
             "K={k}: batched results diverged from the per-experiment engine"
@@ -686,10 +698,10 @@ fn bench_batched_worlds(c: &mut Criterion) {
     let mut group = c.benchmark_group("batched_worlds");
     group.sample_size(10);
     group.bench_function("per_experiment", |bencher| {
-        bencher.iter(|| criterion::black_box(run(None, true)))
+        bencher.iter(|| criterion::black_box(per_experiment()))
     });
     group.bench_function("batched_k8", |bencher| {
-        bencher.iter(|| criterion::black_box(run(Some(8), false)))
+        bencher.iter(|| criterion::black_box(batched(8)))
     });
     group.finish();
 }

@@ -10,16 +10,19 @@
 //! deterministic simulation, [`Backend::Threads`] runs the *same*
 //! applications with every node as an OS thread (the thread backend
 //! derives its host/clock/timeout/restart settings from the same config).
-//! Either way, [`run_study`] fans experiments out across the parallel
-//! worker pool.
 //!
-//! Campaigns that do not need the raw per-experiment timelines after
-//! analysis should use the streaming [`CampaignPipeline`] instead of
-//! `run_study` + batch `analyze`: it fuses execution, global-timeline
-//! construction, and verdict checking into one per-experiment flow on the
-//! same worker pool, dropping each experiment's raw [`ExperimentData`]
-//! immediately after analysis so campaign memory stays O(workers) instead
-//! of O(experiments).
+//! Every campaign runs on one worker loop: workers claim experiment
+//! indices from a shared counter, drive them (the simulation interleaves
+//! a batch of reset-reused worlds per worker; the thread backend runs one
+//! experiment at a time under a retry policy), finish each result inside
+//! the worker, and commit results in index order through one reorder
+//! buffer. [`run_study`] runs that loop and returns the raw
+//! [`ExperimentData`]. The streaming [`CampaignPipeline`] runs the same
+//! loop but analyzes each experiment in its worker — global-timeline
+//! construction and verdict checking — and drops the raw data right
+//! after, so campaign memory stays O(workers × batch) instead of
+//! O(experiments). [`try_run_experiment`] runs one experiment on a fresh
+//! world: the reference the campaign loop is tested against.
 
 use crate::app::AppFactory;
 use crate::daemons::{
@@ -37,6 +40,7 @@ use loki_core::study::Study;
 use loki_sim::batch::WorldSet;
 use loki_sim::config::{HostConfig, NetworkConfig};
 use loki_sim::engine::{BudgetExceeded, HostId as SimHostId, Simulation, WorldConfig};
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -143,24 +147,26 @@ pub struct SimHarnessConfig {
     pub kill_daemon: Option<(u32, u64)>,
     /// Base RNG seed; experiment `k` of a study uses `seed + k`.
     pub seed: u64,
-    /// Worker threads for [`run_study`]: `Some(n)` forces `n` workers
-    /// (`Some(1)` runs sequentially on the calling thread); `None` uses the
-    /// `LOKI_WORKERS` environment variable if set, otherwise the machine's
-    /// available parallelism. `Some(0)` and unparseable `LOKI_WORKERS`
-    /// values are rejected with a panic — a silent fallback would hide a
-    /// misconfigured campaign. Simulation results are identical for every
-    /// worker count — each experiment is fully determined by
-    /// `(seed, experiment_index)`.
+    /// Worker threads for [`run_study`] and the [`CampaignPipeline`]:
+    /// `Some(n)` forces `n` workers (`Some(1)` runs sequentially on the
+    /// calling thread); `None` uses the `LOKI_WORKERS` environment
+    /// variable if set, otherwise the machine's available parallelism.
+    /// `Some(0)` and unparseable `LOKI_WORKERS` values make the campaign
+    /// entry points return [`CampaignError::Workers`] — a silent fallback
+    /// would hide a misconfigured campaign. Simulation results are
+    /// identical for every worker count — each experiment is fully
+    /// determined by `(seed, experiment_index)`.
     pub workers: Option<usize>,
-    /// Experiments interleaved per worker by the [`CampaignPipeline`] on
-    /// the simulation backend: each worker claims chunks of this many
-    /// experiments and drives them through one
+    /// Experiments interleaved per worker on the simulation backend, by
+    /// [`run_study`] and the [`CampaignPipeline`] alike: each worker
+    /// claims chunks of this many experiments and drives them through one
     /// [`loki_sim::batch::WorldSet`] (FoundationDB-style many-worlds
     /// batching). `Some(k)` forces a batch of `k`; `None` uses the
     /// `LOKI_BATCH` environment variable if set, otherwise 1. `Some(0)`
-    /// and unparseable `LOKI_BATCH` values are rejected with a panic,
-    /// exactly like `workers`. Study results are byte-identical for every
-    /// batch size — batching only changes how worlds share a thread.
+    /// and unparseable `LOKI_BATCH` values make the campaign entry points
+    /// return [`CampaignError::Batch`], exactly like `workers`. Study
+    /// results are byte-identical for every batch size — batching only
+    /// changes how worlds share a thread.
     pub batch: Option<usize>,
     /// Deterministic virtual-time budget: an experiment whose next event
     /// would be scheduled after this many simulated nanoseconds ends as
@@ -238,9 +244,9 @@ impl SimHarnessConfig {
 
     /// Builds the study-run [`SymbolTable`]: every host interned in
     /// configuration order, so [`HostId`]s are dense, deterministic, and
-    /// double as simulation host indices. `run_study` and the campaign
-    /// pipeline build this once per study and `Arc`-share it into every
-    /// worker; per-experiment data then carries ids, not strings.
+    /// double as simulation host indices. Every campaign builds this once
+    /// per study and `Arc`-shares it into every worker; per-experiment
+    /// data then carries ids, not strings.
     pub fn symbols(&self) -> Arc<SymbolTable> {
         Arc::new(SymbolTable::for_hosts(self.hosts.iter().map(|h| &h.name)))
     }
@@ -287,37 +293,32 @@ pub fn run_experiment(
 
 /// [`run_experiment`], returning configuration problems as a typed
 /// [`CampaignError`] instead of panicking.
+///
+/// On the simulation backend this pays the full world construction —
+/// config build, host clones, slab growth — for the one experiment. It is
+/// the reference the campaign loop's reset-reused, batched worlds are
+/// tested against: [`run_study`] returns exactly this data for every `k`.
 pub fn try_run_experiment(
     study: &Arc<Study>,
     factory: AppFactory,
     cfg: &SimHarnessConfig,
     experiment: u32,
 ) -> Result<ExperimentData, CampaignError> {
-    run_experiment_with(study, factory, cfg, &cfg.symbols(), experiment)
-}
-
-/// [`run_experiment`] with an already-built study-run symbol table (the
-/// form the worker pools use: one table per study, not per experiment).
-fn run_experiment_with(
-    study: &Arc<Study>,
-    factory: AppFactory,
-    cfg: &SimHarnessConfig,
-    symbols: &Arc<SymbolTable>,
-    experiment: u32,
-) -> Result<ExperimentData, CampaignError> {
-    match cfg.backend {
-        Backend::Sim => run_sim_experiment(study, factory, cfg, symbols, experiment),
-        Backend::Threads => {
-            validate_hosts(cfg)?;
-            Ok(run_thread_experiment_with(
-                study,
-                factory,
-                &cfg.thread_config(),
-                symbols,
-                experiment,
-            ))
+    validate_hosts(cfg)?;
+    Ok(match cfg.backend {
+        Backend::Sim => {
+            let sim_study = SimStudy::new(study, &factory, cfg);
+            let mut sim = Simulation::with_config(sim_study.world.clone(), 0);
+            sim_study.run_one(&mut sim, experiment)
         }
-    }
+        Backend::Threads => run_thread_experiment_with(
+            study,
+            factory,
+            &cfg.thread_config(),
+            &cfg.symbols(),
+            experiment,
+        ),
+    })
 }
 
 /// Rejects configurations the world build would reject, without building
@@ -339,23 +340,6 @@ fn validate_hosts(cfg: &SimHarnessConfig) -> Result<(), CampaignError> {
     Ok(())
 }
 
-/// Runs one experiment on the deterministic simulation backend. This is
-/// the per-experiment path (`run_study` and the pipeline's
-/// [`CampaignPipeline::per_experiment_baseline`] mode): it pays the full
-/// world construction — config build, host clones, slab growth — for every
-/// experiment, exactly like the pre-batching engine did.
-fn run_sim_experiment(
-    study: &Arc<Study>,
-    factory: AppFactory,
-    cfg: &SimHarnessConfig,
-    symbols: &Arc<SymbolTable>,
-    experiment: u32,
-) -> Result<ExperimentData, CampaignError> {
-    let sim_study = SimStudy::new(study, &factory, cfg, symbols)?;
-    let mut sim: Simulation<RtMsg> = Simulation::with_config(sim_study.world.clone(), 0);
-    Ok(sim_study.run_one(&mut sim, experiment))
-}
-
 /// One study compiled for the simulation backend: the shared immutable
 /// [`WorldConfig`] (`Arc`-shared by every world of the study, across
 /// workers) plus everything needed to script an experiment through its
@@ -367,14 +351,14 @@ fn run_sim_experiment(
 /// advances the phase — spawning the runtime daemons/nodes, then the
 /// post-sync actors, then assembling the [`ExperimentData`]. Driving the
 /// machine via one `sim.run()` per phase (the [`SimStudy::run_one`]
-/// baseline) or via interleaved [`WorldSet::step_earliest`] calls (the
-/// batched pipeline) produces byte-identical results: a world only reaches
+/// reference) or via interleaved [`WorldSet::run_world`] calls (the
+/// campaign loop) produces byte-identical results: a world only reaches
 /// `on_drained` when it has no events left, and worlds never interact.
 struct SimStudy<'a> {
     study: &'a Arc<Study>,
     factory: &'a AppFactory,
     cfg: &'a SimHarnessConfig,
-    symbols: &'a Arc<SymbolTable>,
+    symbols: Arc<SymbolTable>,
     world: Arc<WorldConfig>,
     ref_idx: usize,
 }
@@ -392,7 +376,7 @@ enum ExpPhase {
 ///
 /// Every store drains (in deterministic order) into [`ExperimentData`] at
 /// assembly, so a script's context is empty again when its experiment
-/// finishes — the batched pipeline recycles the whole script for the next
+/// finishes — the campaign loop recycles the whole script for the next
 /// experiment, keeping the context's `Rc` block, its stores' capacities,
 /// and its pooled actor hulls instead of reallocating them. Drain orders
 /// are index-determined and lookups are key-addressed, so recycling is
@@ -413,28 +397,14 @@ impl Drop for ExpScript {
 }
 
 impl<'a> SimStudy<'a> {
-    /// Compiles `cfg` into the shared world description, rejecting an
-    /// empty host list or duplicate host names as a typed
-    /// [`CampaignError::Hosts`].
-    fn new(
-        study: &'a Arc<Study>,
-        factory: &'a AppFactory,
-        cfg: &'a SimHarnessConfig,
-        symbols: &'a Arc<SymbolTable>,
-    ) -> Result<Self, CampaignError> {
-        if cfg.hosts.is_empty() {
-            return Err(CampaignError::Hosts(
-                "loki: harness config needs at least one host".to_owned(),
-            ));
-        }
+    /// Compiles `cfg` into the shared world description and builds the
+    /// study-run symbol table. The host list must have passed
+    /// [`validate_hosts`].
+    fn new(study: &'a Arc<Study>, factory: &'a AppFactory, cfg: &'a SimHarnessConfig) -> Self {
         let mut world = WorldConfig::new();
         world.set_network(cfg.network);
         for host in &cfg.hosts {
-            if let Err(e) = world.add_host(host.clone()) {
-                return Err(CampaignError::Hosts(format!(
-                    "loki: invalid harness config: {e}"
-                )));
-            }
+            world.add_host(host.clone()).expect("host list validated");
         }
         let reference = cfg.reference_host();
         let ref_idx = cfg
@@ -442,28 +412,25 @@ impl<'a> SimStudy<'a> {
             .iter()
             .position(|h| h.name == reference)
             .expect("reference host exists");
-        Ok(SimStudy {
+        SimStudy {
             study,
             factory,
             cfg,
-            symbols,
+            symbols: cfg.symbols(),
             world: Arc::new(world),
             ref_idx,
-        })
+        }
     }
 
     /// Rewinds `sim` to experiment `experiment`'s seed and spawns the
     /// pre-sync actors. The caller drives the world until it drains, then
     /// calls [`SimStudy::on_drained`].
-    fn begin(&self, sim: &mut Simulation<RtMsg>, experiment: u32) -> ExpScript {
-        self.begin_with(sim, experiment, None)
-    }
-
-    /// [`SimStudy::begin`], recycling a finished experiment's script when
-    /// one is available: the context's `Rc` block, store capacities, and
-    /// pooled actor hulls survive, the *contents* are reset (an aborted
+    ///
+    /// A finished experiment's `recycled` script is reused when one is
+    /// available: the context's `Rc` block, store capacities, and pooled
+    /// actor hulls survive, the *contents* are reset (an aborted
     /// experiment can leave directory entries and control flags behind).
-    fn begin_with(
+    fn begin(
         &self,
         sim: &mut Simulation<RtMsg>,
         experiment: u32,
@@ -525,7 +492,7 @@ impl<'a> SimStudy<'a> {
         }
         // A tripped budget reports the world as drained with events still
         // pending — end the experiment right here, whatever its phase. The
-        // pipeline quarantines the world afterwards, so the undelivered
+        // campaign loop quarantines the world afterwards, so the undelivered
         // events can never leak into another experiment.
         if let Some(exceeded) = sim.budget_exceeded() {
             let failure = match exceeded {
@@ -538,9 +505,7 @@ impl<'a> SimStudy<'a> {
                 .ctx
                 .warnings
                 .warn_with(|| format!("{failure} after {events} events at virtual time {now} ns"));
-            let events = script.ctx.events.get() + sim.events_processed();
-            script.ctx.events.set(events);
-            return Some(self.assemble(script));
+            return Some(self.assemble(sim, script));
         }
         match script.phase {
             ExpPhase::PreSync => {
@@ -563,9 +528,7 @@ impl<'a> SimStudy<'a> {
             }
             ExpPhase::PostSync => {
                 sim.set_sched_enabled(true);
-                let events = script.ctx.events.get() + sim.events_processed();
-                script.ctx.events.set(events);
-                Some(self.assemble(script))
+                Some(self.assemble(sim, script))
             }
         }
     }
@@ -574,13 +537,31 @@ impl<'a> SimStudy<'a> {
     /// reset-reused), driving the phase machine with one `sim.run()` per
     /// phase.
     fn run_one(&self, sim: &mut Simulation<RtMsg>, experiment: u32) -> ExperimentData {
-        let mut script = self.begin(sim, experiment);
+        let mut script = self.begin(sim, experiment, None);
         loop {
             sim.run();
             if let Some(data) = self.on_drained(sim, &mut script) {
                 return data;
             }
         }
+    }
+
+    /// Advances drained world `idx` of `set` through every phase that has
+    /// drained — a phase can drain instantly (a one-host study has no
+    /// sync partners) — and returns the experiment's data once it
+    /// finishes; `None` while the world still has events to run.
+    fn pump(
+        &self,
+        set: &mut WorldSet<RtMsg>,
+        idx: usize,
+        script: &mut ExpScript,
+    ) -> Option<ExperimentData> {
+        while set.drained(idx) {
+            if let Some(data) = set.with_world_mut(idx, |sim| self.on_drained(sim, script)) {
+                return Some(data);
+            }
+        }
+        None
     }
 
     /// Spawns one `SyncEcho`/`Syncer` pair per non-reference host (a sync
@@ -645,11 +626,13 @@ impl<'a> SimStudy<'a> {
         }
     }
 
-    /// Packs a finished experiment's stores into [`ExperimentData`]. A
-    /// recorded containment failure trumps every other end — a run that
-    /// panicked *and* "completed" during teardown is still a failed run.
-    fn assemble(&self, script: &mut ExpScript) -> ExperimentData {
+    /// Packs a finished experiment's stores into [`ExperimentData`] and
+    /// adds its events to the context's counter. A recorded containment
+    /// failure trumps every other end — a run that panicked *and*
+    /// "completed" during teardown is still a failed run.
+    fn assemble(&self, sim: &Simulation<RtMsg>, script: &mut ExpScript) -> ExperimentData {
         let ctx = &script.ctx;
+        ctx.events.set(ctx.events.get() + sim.events_processed());
         let post_sync = ctx.collector.drain();
         let end = if let Some(failure) = ctx.control.failure() {
             ExperimentEnd::Failed(failure)
@@ -724,10 +707,6 @@ fn pooled_supervisor(ctx: &Rc<ExpCtx>, policy: RestartPolicy) -> ActorHull {
 /// Resolves the worker count for a study: explicit config, then the
 /// `LOKI_WORKERS` environment variable, then the machine's available
 /// parallelism. Never more workers than experiments.
-///
-/// `Some(0)` and an unparseable `LOKI_WORKERS` resolve to
-/// [`CampaignError::Workers`] — a silent fallback would run a
-/// misconfigured campaign with a surprise worker count.
 fn resolve_workers(cfg: &SimHarnessConfig, experiments: u32) -> Result<usize, CampaignError> {
     let env = std::env::var("LOKI_WORKERS").ok();
     worker_count(cfg.workers, env.as_deref(), experiments).map_err(CampaignError::Workers)
@@ -739,38 +718,17 @@ fn worker_count(
     env: Option<&str>,
     experiments: u32,
 ) -> Result<usize, String> {
-    let requested = match explicit {
-        Some(0) => {
-            return Err(
-                "loki: worker count must be at least 1 (config has `workers: Some(0)`); \
-                 use `None` for automatic selection"
-                    .to_owned(),
-            )
-        }
-        Some(n) => n,
-        None => match env {
-            Some(raw) => match raw.trim().parse::<usize>() {
-                Ok(n) if n >= 1 => n,
-                _ => {
-                    return Err(format!(
-                        "loki: LOKI_WORKERS must be a positive integer, got {raw:?}"
-                    ))
-                }
-            },
-            None => std::thread::available_parallelism()
+    let requested = positive_setting(explicit, env, "worker count", "workers", "LOKI_WORKERS")?
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
                 .map(|n| n.get())
-                .unwrap_or(1),
-        },
-    };
-    Ok(requested.clamp(1, experiments.max(1) as usize))
+                .unwrap_or(1)
+        });
+    Ok(requested.min(experiments.max(1) as usize))
 }
 
-/// Resolves the per-worker batch size for the campaign pipeline: explicit
+/// Resolves the per-worker batch size on the simulation backend: explicit
 /// config, then the `LOKI_BATCH` environment variable, then 1.
-///
-/// `Some(0)` and an unparseable `LOKI_BATCH` resolve to
-/// [`CampaignError::Batch`] — the same loud-failure policy as
-/// [`resolve_workers`].
 fn resolve_batch(cfg: &SimHarnessConfig) -> Result<usize, CampaignError> {
     let env = std::env::var("LOKI_BATCH").ok();
     batch_size(cfg.batch, env.as_deref()).map_err(CampaignError::Batch)
@@ -778,41 +736,66 @@ fn resolve_batch(cfg: &SimHarnessConfig) -> Result<usize, CampaignError> {
 
 /// The pure batch-size resolution; see [`resolve_batch`].
 fn batch_size(explicit: Option<usize>, env: Option<&str>) -> Result<usize, String> {
-    match explicit {
-        Some(0) => Err(
-            "loki: batch size must be at least 1 (config has `batch: Some(0)`); \
+    Ok(positive_setting(explicit, env, "batch size", "batch", "LOKI_BATCH")?.unwrap_or(1))
+}
+
+/// One positive campaign setting (`what`): the explicit config `field`,
+/// then the environment variable `var`; `None` when neither is set.
+/// `Some(0)` and an unparseable or zero `var` are errors — a silent
+/// fallback would run a misconfigured campaign with a surprise setting.
+fn positive_setting(
+    explicit: Option<usize>,
+    env: Option<&str>,
+    what: &str,
+    field: &str,
+    var: &str,
+) -> Result<Option<usize>, String> {
+    match (explicit, env) {
+        (Some(0), _) => Err(format!(
+            "loki: {what} must be at least 1 (config has `{field}: Some(0)`); \
              use `None` for the default"
-                .to_owned(),
-        ),
-        Some(n) => Ok(n),
-        None => match env {
-            Some(raw) => match raw.trim().parse::<usize>() {
-                Ok(n) if n >= 1 => Ok(n),
-                _ => Err(format!(
-                    "loki: LOKI_BATCH must be a positive integer, got {raw:?}"
-                )),
-            },
-            None => Ok(1),
+        )),
+        (Some(n), _) => Ok(Some(n)),
+        (None, Some(raw)) => match raw.trim().parse::<usize>() {
+            Ok(n) if n >= 1 => Ok(Some(n)),
+            _ => Err(format!(
+                "loki: {var} must be a positive integer, got {raw:?}"
+            )),
         },
+        (None, None) => Ok(None),
     }
 }
 
+/// Rejects an explicit worker count of 0 and clamps the rest to the
+/// experiment count.
+fn clamp_workers(workers: usize, experiments: u32) -> Result<usize, CampaignError> {
+    if workers == 0 {
+        return Err(CampaignError::Workers(
+            "loki: worker count must be at least 1".to_owned(),
+        ));
+    }
+    Ok(workers.min(experiments.max(1) as usize))
+}
+
 /// Runs `experiments` experiments of `study` on the backend selected by
-/// [`SimHarnessConfig::backend`], with per-experiment seeds.
+/// [`SimHarnessConfig::backend`], with per-experiment seeds, and returns
+/// their raw data in experiment order.
 ///
-/// Experiments fan out across a scoped worker pool (see
-/// [`SimHarnessConfig::workers`]) on every backend; on [`Backend::Sim`]
-/// each experiment seeds its own simulation from
-/// `(cfg.seed, experiment_index)`, so the returned data — order,
+/// This is the [`CampaignPipeline`]'s worker loop without the analysis:
+/// workers claim experiment indices from one shared counter — chunks of
+/// [`SimHarnessConfig::batch`] interleaved worlds on [`Backend::Sim`] —
+/// and results commit by index. On [`Backend::Sim`] experiment `k` is
+/// fully determined by `(cfg.seed, k)`, so the returned data — order,
 /// timelines, sync samples, verdict-relevant fields, everything — is
-/// byte-identical whatever the worker count or scheduling. On
-/// [`Backend::Threads`] the per-experiment *fault-injection semantics* are
-/// the same (the node core is shared), but timing and interleavings are
-/// genuinely nondeterministic.
+/// byte-identical whatever the worker count, batch size or scheduling,
+/// and equal to [`try_run_experiment`]`(k)`. On [`Backend::Threads`] the
+/// per-experiment *fault-injection semantics* are the same (the node core
+/// is shared), but timing and interleavings are genuinely
+/// nondeterministic.
 ///
 /// Misconfigurations — an empty or duplicated host list, an invalid
-/// worker count — come back as a typed [`CampaignError`] before any
-/// experiment runs.
+/// worker count or batch size — come back as a typed [`CampaignError`]
+/// before any experiment runs.
 pub fn run_study(
     study: &Arc<Study>,
     factory: AppFactory,
@@ -838,67 +821,18 @@ pub fn run_study_with_workers(
     experiments: u32,
     workers: usize,
 ) -> Result<Vec<ExperimentData>, CampaignError> {
-    if workers == 0 {
-        return Err(CampaignError::Workers(
-            "loki: worker count must be at least 1".to_owned(),
-        ));
-    }
-    validate_hosts(cfg)?;
-    let workers = workers.clamp(1, experiments.max(1) as usize);
-    let symbols = cfg.symbols();
-    // The config is validated above, so per-experiment runs cannot fail.
-    let run_one =
-        |k| run_experiment_with(study, factory.clone(), cfg, &symbols, k).expect("hosts validated");
-    if workers == 1 {
-        return Ok((0..experiments).map(run_one).collect());
-    }
-
-    // Round-robin striping: worker `w` runs experiments `w, w+workers,
-    // w+2·workers, …` and returns them in that order. Each worker runs
-    // whole experiments (all per-experiment `Rc` state stays
-    // thread-local); only the study and the factory cross the thread
-    // boundary. Experiments of one study cost roughly the same, so a
-    // static partition balances well without a shared queue.
-    let mut stripes: Vec<Vec<ExperimentData>> = std::thread::scope(|scope| {
-        let symbols = &symbols;
-        let handles: Vec<_> = (0..workers as u32)
-            .map(|w| {
-                let factory = factory.clone();
-                scope.spawn(move || {
-                    (w..experiments)
-                        .step_by(workers)
-                        .map(|k| {
-                            run_experiment_with(study, factory.clone(), cfg, symbols, k)
-                                .expect("hosts validated")
-                        })
-                        .collect::<Vec<ExperimentData>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("experiment worker panicked"))
-            .collect()
-    });
-
-    // Interleave the stripes back into experiment order (stripe `w`,
-    // round `i` holds experiment `i·workers + w`).
-    let mut stripes: Vec<_> = stripes.drain(..).map(Vec::into_iter).collect();
-    let mut results = Vec::with_capacity(experiments as usize);
-    loop {
-        let mut produced = false;
-        for stripe in &mut stripes {
-            if let Some(data) = stripe.next() {
-                results.push(data);
-                produced = true;
-            }
-        }
-        if !produced {
-            break;
-        }
-    }
-    debug_assert_eq!(results.len(), experiments as usize);
-    Ok(results)
+    let workers = clamp_workers(workers, experiments)?;
+    let driver = Driver::new(study, &factory, cfg)?;
+    let mut out = Vec::with_capacity(experiments as usize);
+    run_campaign(
+        &driver,
+        experiments,
+        workers,
+        &PoolStats::default(),
+        |data, _| data,
+        |data| out.push(data),
+    );
+    Ok(out)
 }
 
 /// Aggregate counters of one [`CampaignPipeline`] run.
@@ -931,7 +865,7 @@ pub struct PipelineSummary {
     /// Worker threads used.
     pub workers: usize,
     /// Experiments interleaved per worker ([`SimHarnessConfig::batch`]);
-    /// 1 on the threads backend and in the per-experiment baseline mode.
+    /// 1 on the threads backend.
     pub batch: usize,
     /// Peak number of in-flight experiments (raw [`ExperimentData`] plus
     /// live world state) inside the pipeline — at most
@@ -939,16 +873,15 @@ pub struct PipelineSummary {
     /// the streaming design exists for; tests assert on it.
     pub peak_raw_retained: usize,
     /// Actor spawns served from the recycled-hull pool instead of a fresh
-    /// box (0 on the threads backend and in the per-experiment baseline
-    /// mode, which retire their contexts after every experiment).
+    /// box (0 on the threads backend, whose nodes are threads, not pooled
+    /// actors).
     pub actor_reuses: u64,
     /// Timeline shells begun on a recycled capacity-retaining buffer
-    /// instead of a fresh allocation (0 off the batched simulation path,
-    /// like [`PipelineSummary::actor_reuses`]).
+    /// instead of a fresh allocation (0 on the threads backend, like
+    /// [`PipelineSummary::actor_reuses`]).
     pub timeline_reuses: u64,
-    /// Simulation events processed across all experiments (0 off the
-    /// batched simulation path); the all-in ns/event bench divides by
-    /// this.
+    /// Simulation events processed across all experiments (0 on the
+    /// threads backend); the all-in ns/event bench divides by this.
     pub events: u64,
     /// Analyzed-result shells (the `GlobalTimeline` events/intervals/
     /// `alpha_beta` vectors) served from the recycling pool: sinks that
@@ -963,8 +896,8 @@ pub struct PipelineSummary {
     pub result_shell_allocs: u64,
 }
 
-/// The pipeline's reorder buffer: holds finished experiments whose
-/// predecessors are still running, releasing them in strictly increasing
+/// The campaign's reorder buffer: holds finished experiments whose
+/// predecessors are still running and commits them in strictly increasing
 /// index order. A sorted `Vec` (descending, so the next index to commit
 /// sits at the tail) instead of a `BTreeMap`: the buffer holds at most
 /// `workers × batch` entries, and the `Vec` reuses its capacity across the
@@ -972,75 +905,58 @@ pub struct PipelineSummary {
 /// overhead when experiments are tiny.
 struct Reorder<V> {
     pending: Vec<(u32, V)>,
+    /// The next index to commit — also the number committed so far.
+    next: u32,
 }
 
 impl<V> Reorder<V> {
-    fn new() -> Self {
-        Reorder {
-            pending: Vec::new(),
-        }
-    }
-
-    /// Buffers the result of experiment `k`.
-    fn insert(&mut self, k: u32, value: V) {
+    /// Buffers the result of experiment `k`, then commits every result
+    /// that is now next in index order.
+    fn deliver(&mut self, k: u32, value: V, commit: &mut impl FnMut(V)) {
         let at = self.pending.partition_point(|&(index, _)| index > k);
         self.pending.insert(at, (k, value));
-    }
-
-    /// Removes and returns experiment `next`'s result, if buffered.
-    fn pop(&mut self, next: u32) -> Option<V> {
-        match self.pending.last() {
-            Some(&(index, _)) if index == next => self.pending.pop().map(|(_, v)| v),
-            _ => None,
+        while self
+            .pending
+            .last()
+            .is_some_and(|&(index, _)| index == self.next)
+        {
+            let (_, value) = self.pending.pop().expect("checked non-empty");
+            commit(value);
+            self.next += 1;
         }
     }
 }
 
-/// The pipeline's retention gauge: counts in-flight experiments and
-/// remembers the high-water mark that
-/// [`PipelineSummary::peak_raw_retained`] reports.
-struct RetentionGauge {
-    live: AtomicUsize,
-    peak: AtomicUsize,
-}
-
-impl RetentionGauge {
-    fn new() -> Self {
-        RetentionGauge {
-            live: AtomicUsize::new(0),
-            peak: AtomicUsize::new(0),
-        }
-    }
-
-    fn inc(&self) {
-        let live = self.live.fetch_add(1, Ordering::SeqCst) + 1;
-        self.peak.fetch_max(live, Ordering::SeqCst);
-    }
-
-    fn dec(&self) {
-        self.live.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    fn peak(&self) -> usize {
-        self.peak.load(Ordering::SeqCst)
-    }
-}
-
-/// Cross-worker accumulator for the recycling counters reported in
+/// Cross-worker counters of one campaign run, reported in
 /// [`PipelineSummary`]. Workers absorb each experiment context's cheap
-/// `Cell` counters once, when the context retires at the end of
-/// [`drive_chunked`] — not per experiment.
+/// `Cell` counters once, when the context retires — not per experiment.
 #[derive(Default)]
 struct PoolStats {
+    /// In-flight experiments: raised when an experiment begins, lowered
+    /// when its raw data is dropped.
+    live: AtomicUsize,
+    /// High-water mark of `live` ([`PipelineSummary::peak_raw_retained`]).
+    peak: AtomicUsize,
     actor_reuses: AtomicU64,
     timeline_reuses: AtomicU64,
     events: AtomicU64,
     /// World slots rebuilt fresh after a failed experiment (bumped at
     /// quarantine time, when the poisoned context retires early).
     quarantined: AtomicU64,
+    /// Threads-backend re-runs under [`ExperimentRetry`].
+    retried: AtomicU64,
 }
 
 impl PoolStats {
+    fn begin(&self) {
+        let live = self.live.fetch_add(1, Ordering::SeqCst) + 1;
+        self.peak.fetch_max(live, Ordering::SeqCst);
+    }
+
+    fn end(&self) {
+        self.live.fetch_sub(1, Ordering::SeqCst);
+    }
+
     fn absorb(&self, ctx: &ExpCtx) {
         self.actor_reuses
             .fetch_add(ctx.pool.reuses(), Ordering::Relaxed);
@@ -1050,196 +966,339 @@ impl PoolStats {
     }
 }
 
-/// One worker's batched experiment loop: claim a chunk of `batch`
-/// consecutive experiment indices from the shared counter, drive them
-/// through one reused [`WorldSet`] (earliest-next-event interleaving),
-/// hand each finished experiment to `process`, repeat until the claim
-/// counter passes `experiments`.
-///
-/// Worlds and their slabs persist across chunks — after the first chunk a
-/// worker's steady state allocates almost nothing per experiment.
-/// `process` returns `false` to stop the worker early (the coordinator
-/// hung up); the current chunk is abandoned without claiming more.
-///
-/// # Failure containment
-///
-/// An experiment that ends as [`ExperimentEnd::Failed`] — a contained
-/// application panic, a budget trip — or whose scaffolding unwinds out of
-/// the engine entirely (a harness error, reported to `process` as
-/// [`ExperimentFailure::Harness`] with no context) poisons its world and
-/// its pooled scaffolding. Both are **quarantined**: the script (context,
-/// hull pool, store shells) is dropped instead of joining the `spare`
-/// recycling list, and the world slot is rebuilt fresh from the shared
-/// [`WorldConfig`]. Sibling worlds never notice — worlds don't interact,
-/// and the claim counter hands out each index exactly once — so the
-/// surviving experiments' results are byte-identical to a failure-free
-/// campaign's.
-fn drive_chunked(
-    sim_study: &SimStudy<'_>,
-    experiments: u32,
-    batch: usize,
-    next_claim: &AtomicU32,
-    gauge: &RetentionGauge,
-    stats: &PoolStats,
-    mut process: impl FnMut(u32, ExperimentData, Option<&ExpCtx>) -> bool,
-) {
-    let mut set: WorldSet<RtMsg> = WorldSet::with_capacity(batch);
-    let mut scripts: Vec<Option<ExpScript>> = Vec::with_capacity(batch);
-    // Finished experiments return their (drained-empty) scripts here;
-    // `begin_with` recycles them, so in steady state a worker reallocates
-    // none of the per-experiment scaffolding.
-    let mut spare: Vec<ExpScript> = Vec::with_capacity(batch);
-    // Retires a finished experiment's script: healthy scripts feed the
-    // recycling list, failed ones are quarantined with their world.
-    let retire = |script: ExpScript,
-                  failed: bool,
-                  idx: usize,
-                  set: &mut WorldSet<RtMsg>,
-                  spare: &mut Vec<ExpScript>| {
-        if failed {
-            stats.absorb(&script.ctx);
-            drop(script);
-            set.replace(idx, Simulation::with_config(sim_study.world.clone(), 0));
-            stats.quarantined.fetch_add(1, Ordering::Relaxed);
-        } else {
-            spare.push(script);
-        }
-    };
-    'run: loop {
-        // Relaxed suffices: the claim is the only shared state, and the
-        // result hand-off orders everything else.
-        let base = next_claim.fetch_add(batch as u32, Ordering::Relaxed);
-        if base >= experiments {
-            break 'run;
-        }
-        let end = experiments.min(base.saturating_add(batch as u32));
+/// How campaign workers execute experiments: the one part of the worker
+/// loop ([`run_campaign`]) that differs between backends.
+enum Driver<'a> {
+    /// The simulation, batched: a worker claims `batch` consecutive
+    /// indices and interleaves them through its reused worlds
+    /// ([`Worlds::drive`]).
+    Sim { study: SimStudy<'a>, batch: usize },
+    /// The threads backend, one experiment at a time.
+    Threads(ThreadDriver<'a>),
+}
 
-        // Load the chunk: one world per experiment, reset-reused from the
-        // previous chunk. A phase can drain instantly (a one-host study
-        // has no sync partners), so pump each world through any
-        // already-drained phases right after `begin`.
-        let mut inflight = 0usize;
-        for (slot, k) in (base..end).enumerate() {
-            if slot == set.len() {
-                set.push(Simulation::with_config(sim_study.world.clone(), 0));
-                scripts.push(None);
+impl<'a> Driver<'a> {
+    /// Validates the host list and, on the simulation, the batch size.
+    fn new(
+        study: &'a Arc<Study>,
+        factory: &'a AppFactory,
+        cfg: &'a SimHarnessConfig,
+    ) -> Result<Self, CampaignError> {
+        validate_hosts(cfg)?;
+        Ok(match cfg.backend {
+            Backend::Sim => Driver::Sim {
+                batch: resolve_batch(cfg)?,
+                study: SimStudy::new(study, factory, cfg),
+            },
+            Backend::Threads => Driver::Threads(ThreadDriver {
+                study,
+                factory,
+                symbols: cfg.symbols(),
+                cfg: cfg.thread_config(),
+                retry: cfg.retry,
+            }),
+        })
+    }
+
+    /// Experiments a worker claims at once.
+    fn batch(&self) -> usize {
+        match self {
+            Driver::Sim { batch, .. } => *batch,
+            Driver::Threads(_) => 1,
+        }
+    }
+}
+
+/// The threads backend's experiment driver.
+struct ThreadDriver<'a> {
+    study: &'a Arc<Study>,
+    factory: &'a AppFactory,
+    symbols: Arc<SymbolTable>,
+    cfg: ThreadHarnessConfig,
+    retry: ExperimentRetry,
+}
+
+impl ThreadDriver<'_> {
+    /// Runs experiment `k`. A failed run re-runs under the bounded
+    /// [`ExperimentRetry`] policy with exponential backoff — a real
+    /// machine's failure can be a scheduling accident; the simulation's
+    /// cannot, so it never retries.
+    fn run(&self, k: u32, stats: &PoolStats) -> ExperimentData {
+        stats.begin();
+        let mut attempt = 0u32;
+        loop {
+            let data = run_thread_experiment_with(
+                self.study,
+                self.factory.clone(),
+                &self.cfg,
+                &self.symbols,
+                k,
+            );
+            if !matches!(data.end, ExperimentEnd::Failed(_)) || attempt >= self.retry.max_retries {
+                return data;
             }
-            gauge.inc();
-            let recycled = spare.pop();
+            std::thread::sleep(self.retry.backoff * (1u32 << attempt.min(16)));
+            attempt += 1;
+            stats.retried.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
+/// One simulation worker's state, kept across the chunks it claims: a
+/// [`WorldSet`] of up to K worlds, the script of each world's in-flight
+/// experiment, and finished scripts waiting to be recycled. Worlds and
+/// their slabs persist across chunks — after the first chunk a worker's
+/// steady state allocates almost nothing per experiment.
+#[derive(Default)]
+struct Worlds {
+    set: WorldSet<RtMsg>,
+    scripts: Vec<Option<ExpScript>>,
+    /// Finished experiments' (drained-empty) scripts; `begin`
+    /// recycles them, so in steady state a worker reallocates none of the
+    /// per-experiment scaffolding.
+    spare: Vec<ExpScript>,
+}
+
+impl Worlds {
+    /// Drives the chunk `ks` (at most K experiments) to completion: load
+    /// one world per experiment, then always step the world with the
+    /// earliest next event; when a world drains, advance its phase or
+    /// hand its finished experiment to `process`. Returns `false` as soon
+    /// as `process` does (the coordinator hung up), abandoning the chunk.
+    ///
+    /// # Failure containment
+    ///
+    /// An experiment that ends as [`ExperimentEnd::Failed`] — a contained
+    /// application panic, a budget trip — or whose scaffolding unwinds out
+    /// of the engine entirely (reported as [`ExperimentFailure::Harness`])
+    /// poisons its world and its pooled scaffolding. Both are
+    /// **quarantined** ([`Worlds::settle`]). Sibling worlds never notice —
+    /// worlds don't interact, and the claim counter hands out each index
+    /// exactly once — so the surviving experiments' results are
+    /// byte-identical to a failure-free campaign's.
+    fn drive(
+        &mut self,
+        sim: &SimStudy<'_>,
+        ks: Range<u32>,
+        stats: &PoolStats,
+        process: &mut impl FnMut(u32, ExperimentData, Option<&ExpCtx>) -> bool,
+    ) -> bool {
+        let mut inflight = 0usize;
+        for (slot, k) in ks.enumerate() {
+            if slot == self.set.len() {
+                self.set.push(Simulation::with_config(sim.world.clone(), 0));
+                self.scripts.push(None);
+            }
+            stats.begin();
+            let recycled = self.spare.pop();
             let loaded = catch_unwind(AssertUnwindSafe(|| {
-                let mut script =
-                    set.with_world_mut(slot, |sim| sim_study.begin_with(sim, k, recycled));
-                let mut finished = None;
-                while set.drained(slot) {
-                    let out =
-                        set.with_world_mut(slot, |sim| sim_study.on_drained(sim, &mut script));
-                    if let Some(data) = out {
-                        finished = Some(data);
-                        break;
-                    }
-                }
+                let mut script = self.set.with_world_mut(slot, |w| sim.begin(w, k, recycled));
+                let finished = sim.pump(&mut self.set, slot, &mut script);
                 (script, finished)
             }));
-            match loaded {
-                Ok((script, Some(data))) => {
-                    let failed = matches!(data.end, ExperimentEnd::Failed(_));
-                    let keep_going = process(k, data, Some(&script.ctx));
-                    retire(script, failed, slot, &mut set, &mut spare);
-                    if !keep_going {
-                        break 'run;
-                    }
-                }
+            let (script, data) = match loaded {
                 Ok((script, None)) => {
-                    scripts[slot] = Some(script);
+                    self.scripts[slot] = Some(script);
                     inflight += 1;
+                    continue;
                 }
-                Err(payload) => {
-                    // The unwind consumed the script (and possibly a
-                    // recycled one); the half-loaded world is rebuilt.
-                    let note = crate::contain::panic_note(payload.as_ref());
-                    set.replace(slot, Simulation::with_config(sim_study.world.clone(), 0));
-                    stats.quarantined.fetch_add(1, Ordering::Relaxed);
-                    if !process(k, sim_study.failed_data(k, note), None) {
-                        break 'run;
-                    }
-                }
+                Ok((script, Some(data))) => (Some(script), data),
+                // The unwind consumed the script (and possibly a recycled
+                // one); the half-loaded world is rebuilt.
+                Err(payload) => (
+                    None,
+                    sim.failed_data(k, crate::contain::panic_note(payload.as_ref())),
+                ),
+            };
+            if !self.settle(sim, stats, slot, script, data, process) {
+                return false;
             }
         }
 
-        // Interleave: always step the world with the earliest next event;
-        // when a world drains, advance its phase (possibly through several
-        // instantly-drained phases) or retire its finished experiment.
         while inflight > 0 {
-            let (idx, horizon) = set
+            let (idx, horizon) = self
+                .set
                 .earliest()
                 .expect("worlds with in-flight experiments have events");
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| set.run_world(idx, horizon))) {
-                // The engine itself unwound: the world is unusable and its
-                // experiment produced nothing. Quarantine and report.
-                let script = scripts[idx].take().expect("running world has a script");
-                inflight -= 1;
-                let k = script.experiment;
-                let note = crate::contain::panic_note(payload.as_ref());
-                retire(script, true, idx, &mut set, &mut spare);
-                if !process(k, sim_study.failed_data(k, note), None) {
-                    break 'run;
-                }
+            let ran = catch_unwind(AssertUnwindSafe(|| self.set.run_world(idx, horizon)));
+            if ran.is_ok() && !self.set.drained(idx) {
                 continue;
             }
-            if !set.drained(idx) {
-                continue;
-            }
-            let mut script = scripts[idx].take().expect("drained world has a script");
-            let pumped = catch_unwind(AssertUnwindSafe(|| {
-                let mut finished = None;
-                loop {
-                    let out = set.with_world_mut(idx, |sim| sim_study.on_drained(sim, &mut script));
-                    if let Some(data) = out {
-                        finished = Some(data);
-                        break;
-                    }
-                    if !set.drained(idx) {
-                        break;
-                    }
+            let mut script = self.scripts[idx]
+                .take()
+                .expect("drained world has a script");
+            let pumped = ran.and_then(|()| {
+                catch_unwind(AssertUnwindSafe(|| {
+                    sim.pump(&mut self.set, idx, &mut script)
+                }))
+            });
+            let data = match pumped {
+                Ok(None) => {
+                    self.scripts[idx] = Some(script);
+                    continue;
                 }
-                finished
-            }));
-            match pumped {
-                Ok(Some(data)) => {
-                    inflight -= 1;
-                    let k = script.experiment;
-                    let failed = matches!(data.end, ExperimentEnd::Failed(_));
-                    let keep_going = process(k, data, Some(&script.ctx));
-                    retire(script, failed, idx, &mut set, &mut spare);
-                    if !keep_going {
-                        break 'run;
-                    }
-                }
-                Ok(None) => scripts[idx] = Some(script),
-                Err(payload) => {
-                    inflight -= 1;
-                    let k = script.experiment;
-                    let note = crate::contain::panic_note(payload.as_ref());
-                    retire(script, true, idx, &mut set, &mut spare);
-                    if !process(k, sim_study.failed_data(k, note), None) {
-                        break 'run;
-                    }
-                }
+                Ok(Some(data)) => data,
+                // The engine or the harness unwound: the world is
+                // unusable and its experiment produced nothing.
+                Err(payload) => sim.failed_data(
+                    script.experiment,
+                    crate::contain::panic_note(payload.as_ref()),
+                ),
+            };
+            inflight -= 1;
+            if !self.settle(sim, stats, idx, Some(script), data, process) {
+                return false;
             }
         }
+        true
     }
-    // Single exit: fold every retiring context's recycling counters into
-    // the shared stats (each script owns its own context; in-flight
-    // scripts only remain after an early bail-out; quarantined contexts
-    // were absorbed when they retired).
-    for script in scripts.iter().flatten().chain(spare.iter()) {
-        stats.absorb(&script.ctx);
+
+    /// Hands a finished experiment to `process` and retires its world
+    /// slot. A healthy script joins the recycling list; a failed
+    /// experiment is quarantined — its script (context, hull pool, store
+    /// shells) is dropped and the world rebuilt fresh from the shared
+    /// [`WorldConfig`].
+    fn settle(
+        &mut self,
+        sim: &SimStudy<'_>,
+        stats: &PoolStats,
+        idx: usize,
+        script: Option<ExpScript>,
+        data: ExperimentData,
+        process: &mut impl FnMut(u32, ExperimentData, Option<&ExpCtx>) -> bool,
+    ) -> bool {
+        let failed = matches!(data.end, ExperimentEnd::Failed(_));
+        let keep_going = process(data.experiment, data, script.as_ref().map(|s| &*s.ctx));
+        match script {
+            Some(script) if !failed => self.spare.push(script),
+            script => {
+                if let Some(script) = script {
+                    stats.absorb(&script.ctx);
+                }
+                self.set
+                    .replace(idx, Simulation::with_config(sim.world.clone(), 0));
+                stats.quarantined.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        keep_going
     }
+
+    /// Folds every remaining context's recycling counters into `stats`
+    /// when the worker exits (in-flight scripts only remain after an early
+    /// bail-out; quarantined contexts were absorbed when they retired).
+    fn retire(self, stats: &PoolStats) {
+        for script in self.scripts.iter().flatten().chain(&self.spare) {
+            stats.absorb(&script.ctx);
+        }
+    }
+}
+
+/// One worker of [`run_campaign`]: claims chunks of `driver.batch()`
+/// consecutive experiment indices from the shared counter until it passes
+/// `experiments`, drives each chunk, and hands every finished experiment
+/// through `finish` to `deliver`. `deliver` returns `false` to stop the
+/// worker early (the coordinator hung up).
+fn work<R>(
+    driver: &Driver<'_>,
+    claim: &AtomicU32,
+    experiments: u32,
+    stats: &PoolStats,
+    finish: &impl Fn(ExperimentData, Option<&ExpCtx>) -> R,
+    mut deliver: impl FnMut(u32, R) -> bool,
+) {
+    let chunk = driver.batch() as u32;
+    let mut worlds = None;
+    let mut process = |k, data, ctx: Option<&ExpCtx>| deliver(k, finish(data, ctx));
+    loop {
+        // Relaxed suffices: the claim is the only shared state, and the
+        // result hand-off orders everything else.
+        let base = claim.fetch_add(chunk, Ordering::Relaxed);
+        if base >= experiments {
+            break;
+        }
+        let mut ks = base..experiments.min(base.saturating_add(chunk));
+        let keep_going = match driver {
+            Driver::Sim { study, .. } => {
+                worlds
+                    .get_or_insert_with(Worlds::default)
+                    .drive(study, ks, stats, &mut process)
+            }
+            Driver::Threads(threads) => ks.all(|k| process(k, threads.run(k, stats), None)),
+        };
+        if !keep_going {
+            break;
+        }
+    }
+    if let Some(worlds) = worlds {
+        worlds.retire(stats);
+    }
+}
+
+/// The one campaign worker loop behind [`run_study`] and every
+/// [`CampaignPipeline`] entry point.
+///
+/// Workers claim experiments dynamically from one shared atomic index
+/// counter (work stealing, in chunks of the batch size): whichever worker
+/// finishes first takes the next unstarted experiments, so a heavy-tailed
+/// study keeps the whole pool busy. Each finished experiment goes through
+/// `finish` inside its worker, and the result reaches `commit` exactly
+/// once, in strictly increasing index order, through one reorder buffer.
+///
+/// With one worker everything runs on the calling thread — no thread hop,
+/// no channel. With more, workers send `(k, result)` through one bounded
+/// channel (capacity = workers, real backpressure) and the calling thread
+/// drains it into the reorder buffer. The buffer holds only results whose
+/// predecessors are still running — at worst the skew the stealing exists
+/// to absorb.
+fn run_campaign<R: Send>(
+    driver: &Driver<'_>,
+    experiments: u32,
+    workers: usize,
+    stats: &PoolStats,
+    finish: impl Fn(ExperimentData, Option<&ExpCtx>) -> R + Sync,
+    mut commit: impl FnMut(R),
+) {
+    let claim = AtomicU32::new(0);
+    let mut reorder = Reorder {
+        pending: Vec::new(),
+        next: 0,
+    };
+    if workers == 1 {
+        work(driver, &claim, experiments, stats, &finish, |k, result| {
+            reorder.deliver(k, result, &mut commit);
+            true
+        });
+    } else {
+        std::thread::scope(|scope| {
+            let (tx, rx) = mpsc::sync_channel::<(u32, R)>(workers);
+            for _ in 0..workers {
+                let tx = tx.clone();
+                let (claim, finish) = (&claim, &finish);
+                // A failed send means the coordinator is gone (the commit
+                // or a sibling panicked): stop claiming and bail out.
+                scope.spawn(move || {
+                    work(driver, claim, experiments, stats, finish, |k, result| {
+                        tx.send((k, result)).is_ok()
+                    })
+                });
+            }
+            // All senders are worker-owned, so the drain ends once every
+            // worker has finished or died; a dead worker's panic then
+            // propagates out of the scope.
+            drop(tx);
+            for (k, result) in rx {
+                reorder.deliver(k, result, &mut commit);
+            }
+        });
+    }
+    // After the scope: a worker panic has already propagated, so an
+    // undelivered experiment here is a genuine harness bug.
+    assert_eq!(reorder.next, experiments, "campaign lost experiments");
 }
 
 /// The streaming campaign pipeline: execution, global-timeline
 /// construction, and verdict checking fused into a single per-experiment
-/// flow on the [`run_study`] worker pool.
+/// flow on the same worker loop as [`run_study`].
 ///
 /// On the simulation backend each worker drives a **batch** of
 /// [`SimHarnessConfig::batch`] independent worlds at once through one
@@ -1257,21 +1316,17 @@ fn drive_chunked(
 /// # Scheduling and determinism contract
 ///
 /// Workers claim experiments dynamically from a shared atomic index
-/// counter (work stealing, in chunks of the batch size): whichever worker
-/// finishes first takes the next
-/// unstarted experiments, so a heavy-tailed study — one slow experiment
-/// among cheap ones — no longer idles the rest of the pool the way static
-/// striping did. Results are still merged **by experiment index**: the
-/// sink closure is invoked exactly once per experiment, in strictly
-/// increasing index order `0, 1, …, experiments − 1`, whatever the worker
-/// count or completion order (out-of-order compact results wait in a
-/// reorder buffer; raw data never crosses a channel). On
-/// [`Backend::Sim`], experiment `k` is fully determined by
-/// `(cfg.seed, k)` — a reset world replays exactly like a fresh one, and
-/// interleaved worlds never interact — so everything the sink observes —
-/// timelines, verdicts, measure folds — is byte-identical across worker
-/// counts *and batch sizes* and identical to the batch `run_study` +
-/// `analyze` path.
+/// counter (work stealing, in chunks of the batch size), exactly as in
+/// [`run_study`]. Results are merged **by experiment index**: the sink
+/// closure is invoked exactly once per experiment, in strictly increasing
+/// index order `0, 1, …, experiments − 1`, whatever the worker count or
+/// completion order (out-of-order compact results wait in a reorder
+/// buffer; raw data never crosses a channel). On [`Backend::Sim`],
+/// experiment `k` is fully determined by `(cfg.seed, k)` — a reset world
+/// replays exactly like a fresh one, and interleaved worlds never
+/// interact — so everything the sink observes — timelines, verdicts,
+/// measure folds — is byte-identical across worker counts *and batch
+/// sizes* and identical to the batch `run_study` + `analyze` path.
 ///
 /// # Examples
 ///
@@ -1289,7 +1344,7 @@ fn drive_chunked(
 ///         }
 ///     })
 ///     .expect("valid campaign config");
-/// assert!(summary.peak_raw_retained <= summary.workers);
+/// assert!(summary.peak_raw_retained <= summary.workers * summary.batch);
 /// # }
 /// ```
 pub struct CampaignPipeline {
@@ -1297,7 +1352,6 @@ pub struct CampaignPipeline {
     factory: AppFactory,
     cfg: SimHarnessConfig,
     analysis: AnalysisOptions,
-    per_experiment: bool,
     /// Deduplicated per-run failure reports: one line per distinct
     /// [`ExperimentFailure`] kind, recorded on the coordinator as results
     /// commit in index order (so "first experiment" is deterministic).
@@ -1312,7 +1366,6 @@ impl CampaignPipeline {
             factory,
             cfg,
             analysis: AnalysisOptions::default(),
-            per_experiment: false,
             failure_log: Mutex::new(WarningSink::new()),
         }
     }
@@ -1320,17 +1373,6 @@ impl CampaignPipeline {
     /// Sets the analysis options (builder-style).
     pub fn analysis(mut self, analysis: AnalysisOptions) -> Self {
         self.analysis = analysis;
-        self
-    }
-
-    /// Forces the pre-batching per-experiment engine path: a fresh
-    /// simulation (full world construction, fresh slabs) for every
-    /// experiment, ignoring [`SimHarnessConfig::batch`] / `LOKI_BATCH`.
-    /// Results are byte-identical to the batched path — this mode exists
-    /// as the honest baseline for the batched-vs-per-experiment bench
-    /// comparison, not for campaigns.
-    pub fn per_experiment_baseline(mut self) -> Self {
-        self.per_experiment = true;
         self
     }
 
@@ -1400,58 +1442,33 @@ impl CampaignPipeline {
         tap: impl Fn(&ExperimentData) -> T + Sync,
         mut sink: impl FnMut(AnalyzedExperiment, T),
     ) -> Result<PipelineSummary, CampaignError> {
-        if workers == 0 {
-            return Err(CampaignError::Workers(
-                "loki: worker count must be at least 1".to_owned(),
-            ));
-        }
-        validate_hosts(&self.cfg)?;
+        let workers = clamp_workers(workers, experiments)?;
+        let driver = Driver::new(&self.study, &self.factory, &self.cfg)?;
         if let Err(e) = self.analysis.global.validate() {
             return Err(CampaignError::Analysis(format!(
                 "loki: invalid analysis options: {e}"
             )));
         }
-        let workers = workers.clamp(1, experiments.max(1) as usize);
-        // Many-worlds batching is a simulation-backend technique; the
-        // threads backend and the per-experiment baseline run one
-        // experiment at a time per worker.
-        let batched = self.cfg.backend == Backend::Sim && !self.per_experiment;
-        let batch = if batched {
-            resolve_batch(&self.cfg)?
-        } else {
-            1
-        };
-        let symbols = self.cfg.symbols();
-        let sim_study = match batched {
-            true => Some(SimStudy::new(
-                &self.study,
-                &self.factory,
-                &self.cfg,
-                &symbols,
-            )?),
-            false => None,
-        };
         let mut summary = PipelineSummary {
             experiments,
             workers,
-            batch,
+            batch: driver.batch(),
             ..Default::default()
         };
-        let gauge = RetentionGauge::new();
         let stats = PoolStats::default();
         // Result shells cycle sink→pool→worker across the whole pipeline
-        // (all paths — batched, baseline, threads backend — share it, and
-        // timelines route themselves back on drop wherever they die).
+        // (timelines route themselves back on drop wherever they die).
         let shell_pool = ShellPool::default();
 
         // The back half of the fused flow: analyze (into a recycled result
         // shell) → tap → reclaim the raw data's buffers into the worker's
-        // context (batched path) → drop. The retention gauge (raised when
-        // an experiment begins) brackets the raw data's whole lifetime.
-        // Analysis runs contained: a panicking analysis (conceivable on a
-        // failed experiment's partial timelines) downgrades that one
-        // result to a harness failure instead of killing the campaign.
-        let finish = |mut data: ExperimentData, ctx: Option<&ExpCtx>| -> (AnalyzedExperiment, T) {
+        // context (simulation backend) → drop. The retention gauge (raised
+        // when an experiment begins) brackets the raw data's whole
+        // lifetime. Analysis runs contained: a panicking analysis
+        // (conceivable on a failed experiment's partial timelines)
+        // downgrades that one result to a harness failure instead of
+        // killing the campaign.
+        let finish = |mut data: ExperimentData, ctx: Option<&ExpCtx>| {
             let analyzed = catch_unwind(AssertUnwindSafe(|| {
                 analyze_one_pooled(&self.study, &data, &self.analysis, &shell_pool)
             }))
@@ -1470,36 +1487,10 @@ impl CampaignPipeline {
                 ctx.collector.reclaim(std::mem::take(&mut data.post_sync));
             }
             drop(data);
-            gauge.dec();
+            stats.end();
             (analyzed, tapped)
         };
-        // One experiment through the per-experiment flow (threads backend
-        // and the baseline mode): run → finish, nothing reclaimed. On the
-        // threads backend a failed run re-runs under the bounded
-        // `ExperimentRetry` policy with exponential backoff — a real
-        // machine's failure can be a scheduling accident; the
-        // simulation's cannot, so it never retries.
-        let retried = AtomicU64::new(0);
-        let one = |k: u32| -> (AnalyzedExperiment, T) {
-            gauge.inc();
-            let mut attempt = 0u32;
-            let data = loop {
-                let data =
-                    run_experiment_with(&self.study, self.factory.clone(), &self.cfg, &symbols, k)
-                        .expect("config validated before workers started");
-                let retryable = self.cfg.backend == Backend::Threads
-                    && matches!(data.end, ExperimentEnd::Failed(_))
-                    && attempt < self.cfg.retry.max_retries;
-                if !retryable {
-                    break data;
-                }
-                std::thread::sleep(self.cfg.retry.backoff * (1u32 << attempt.min(16)));
-                attempt += 1;
-                retried.fetch_add(1, Ordering::Relaxed);
-            };
-            finish(data, None)
-        };
-        let account = |summary: &mut PipelineSummary, analyzed: &AnalyzedExperiment| {
+        let commit = |(analyzed, tapped): (AnalyzedExperiment, T)| {
             if analyzed.end == ExperimentEnd::Completed {
                 summary.completed += 1;
             }
@@ -1508,8 +1499,8 @@ impl CampaignPipeline {
             }
             if let Some(failure) = analyzed.end.failure() {
                 summary.failed += 1;
-                // Runs on the coordinator in strictly increasing index
-                // order, so "first exhibiting experiment" is
+                // Commits run on the coordinator in strictly increasing
+                // index order, so "first exhibiting experiment" is
                 // deterministic. One report per failure kind per run.
                 let k = analyzed.experiment;
                 self.failure_log
@@ -1520,132 +1511,15 @@ impl CampaignPipeline {
                     });
             }
             summary.injections += analyzed.injections;
+            sink(analyzed, tapped);
         };
+        run_campaign(&driver, experiments, workers, &stats, finish, commit);
 
-        let mut delivered = 0u32;
-        if workers == 1 {
-            if let Some(sim_study) = &sim_study {
-                // A chunk completes in event-time order, not index order,
-                // so even the single-worker path reorders before the
-                // sink. `delivered` doubles as the next index to commit —
-                // commits are strictly in index order.
-                let next_claim = AtomicU32::new(0);
-                let mut reorder: Reorder<(AnalyzedExperiment, T)> = Reorder::new();
-                drive_chunked(
-                    sim_study,
-                    experiments,
-                    batch,
-                    &next_claim,
-                    &gauge,
-                    &stats,
-                    |k, data, ctx| {
-                        reorder.insert(k, finish(data, ctx));
-                        while let Some((analyzed, tapped)) = reorder.pop(delivered) {
-                            account(&mut summary, &analyzed);
-                            sink(analyzed, tapped);
-                            delivered += 1;
-                        }
-                        true
-                    },
-                );
-            } else {
-                for k in 0..experiments {
-                    let (analyzed, tapped) = one(k);
-                    account(&mut summary, &analyzed);
-                    sink(analyzed, tapped);
-                    delivered += 1;
-                }
-            }
-        } else {
-            // Work-stealing claim: every worker loops on a shared atomic
-            // index counter — claiming chunks of `batch` experiments on
-            // the simulation backend, single experiments otherwise — so a
-            // heavy-tailed study keeps the whole pool busy. Compact
-            // results flow through one bounded channel (capacity =
-            // workers, real backpressure) tagged with their index; the
-            // coordinator commits them to the sink in strictly increasing
-            // index order via a reorder buffer. The buffer holds only
-            // *compact* results whose predecessors are still running — in
-            // the worst case (one experiment monopolizing a worker while
-            // the others finish everything else) that is the skew the
-            // stealing exists to absorb; raw data never crosses a channel
-            // and stays O(workers × batch) regardless.
-            let next_claim = AtomicU32::new(0);
-            std::thread::scope(|scope| {
-                let one = &one;
-                let finish = &finish;
-                let gauge = &gauge;
-                let stats = &stats;
-                let sim_study = sim_study.as_ref();
-                let next_claim = &next_claim;
-                let (tx, rx) = mpsc::sync_channel::<(u32, (AnalyzedExperiment, T))>(workers);
-                for _ in 0..workers {
-                    let tx = tx.clone();
-                    match sim_study {
-                        Some(sim_study) => {
-                            scope.spawn(move || {
-                                drive_chunked(
-                                    sim_study,
-                                    experiments,
-                                    batch,
-                                    next_claim,
-                                    gauge,
-                                    stats,
-                                    // A failed send means the coordinator
-                                    // is gone (sink or sibling panicked):
-                                    // stop claiming and bail out.
-                                    |k, data, ctx| tx.send((k, finish(data, ctx))).is_ok(),
-                                );
-                            });
-                        }
-                        None => {
-                            scope.spawn(move || loop {
-                                // Relaxed suffices: the claim is the only
-                                // shared state, and the channel send
-                                // orders the result.
-                                let k = next_claim.fetch_add(1, Ordering::Relaxed);
-                                if k >= experiments {
-                                    return;
-                                }
-                                let result = one(k);
-                                if tx.send((k, result)).is_err() {
-                                    return; // coordinator gone
-                                }
-                            });
-                        }
-                    }
-                }
-                // All senders are worker-owned; the coordinator's recv
-                // loop must observe disconnect once they finish or die.
-                drop(tx);
-                let mut reorder: Reorder<(AnalyzedExperiment, T)> = Reorder::new();
-                let mut next_commit = 0u32;
-                while delivered < experiments {
-                    match rx.recv() {
-                        Ok((k, result)) => {
-                            reorder.insert(k, result);
-                            while let Some((analyzed, tapped)) = reorder.pop(next_commit) {
-                                account(&mut summary, &analyzed);
-                                sink(analyzed, tapped);
-                                next_commit += 1;
-                                delivered += 1;
-                            }
-                        }
-                        // A worker died mid-experiment; stop and let the
-                        // scope propagate its panic.
-                        Err(mpsc::RecvError) => break,
-                    }
-                }
-            });
-        }
-        // After the scope: a worker panic has already propagated, so an
-        // undelivered experiment here is a genuine pipeline bug.
-        assert_eq!(delivered, experiments, "pipeline lost experiments");
-        summary.peak_raw_retained = gauge.peak();
+        summary.peak_raw_retained = stats.peak.load(Ordering::SeqCst);
         summary.actor_reuses = stats.actor_reuses.load(Ordering::Relaxed);
         summary.timeline_reuses = stats.timeline_reuses.load(Ordering::Relaxed);
         summary.events = stats.events.load(Ordering::Relaxed);
-        summary.retried = retried.load(Ordering::Relaxed) as usize;
+        summary.retried = stats.retried.load(Ordering::Relaxed) as usize;
         summary.quarantined_worlds = stats.quarantined.load(Ordering::Relaxed) as usize;
         summary.result_shell_reuses = shell_pool.shell_reuses();
         summary.result_shell_allocs = shell_pool.shell_allocs();

@@ -21,7 +21,7 @@
 //!   experiment.
 //! * [`harness`] — experiment orchestration with per-study backend
 //!   selection ([`harness::Backend::Sim`] | [`harness::Backend::Threads`])
-//!   and a parallel worker pool; returns
+//!   and one parallel worker loop for every campaign; returns
 //!   [`loki_core::campaign::ExperimentData`] ready for the analysis phase —
 //!   or, via the streaming [`harness::CampaignPipeline`], fuses execution
 //!   with per-experiment analysis so raw data never outlives its worker.

@@ -271,8 +271,8 @@ pub fn run_thread_experiment(
 }
 
 /// [`run_thread_experiment`] with an already-built study-run symbol table
-/// (hosts interned in configuration order; the worker pools build one
-/// table per study and share it).
+/// (hosts interned in configuration order; the campaign worker loop
+/// builds one table per study and shares it).
 pub(crate) fn run_thread_experiment_with(
     study: &Arc<Study>,
     factory: AppFactory,

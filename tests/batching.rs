@@ -2,20 +2,26 @@
 //! through one reused `WorldSet` must be *unobservable* in the results.
 //! The sweep below pins byte-identical study output for batch
 //! K ∈ {1, 2, 4, 8} crossed with worker counts ∈ {1, 2, 4} against the
-//! per-experiment baseline engine (a fresh simulation per experiment), and
-//! checks the pipeline's retention stays within the documented
-//! workers × batch bound. `run_study` — which still runs per-experiment —
-//! must agree too, pinning that a reset-reused world replays exactly like
-//! a fresh one.
+//! fresh-world reference (`try_run_experiment` + `analyze_one`, a fresh
+//! simulation per experiment), and checks the pipeline's retention stays
+//! within the documented workers × batch bound. `run_study` runs the same
+//! batched worker loop and must return raw data exactly equal to the
+//! fresh-world reference, pinning that a reset-reused world replays
+//! exactly like a fresh one.
+//!
+//! Only `batch_env_override_is_validated_and_applied` touches
+//! `LOKI_BATCH`; every other campaign here sets `cfg.batch` explicitly,
+//! because tests in one binary run concurrently.
 
-use loki::analysis::AnalyzedExperiment;
+use loki::analysis::{analyze_one, AnalysisOptions, AnalyzedExperiment};
 use loki::apps::kvstore::{cascade_probe, cascade_study, kv_factory, storm_retry, KvConfig};
 use loki::apps::token_ring::{ring_factory, ring_study, RingConfig};
+use loki::core::campaign::ExperimentEnd;
 use loki::core::fault::{FaultExpr, Trigger};
 use loki::core::probe::FaultAction;
 use loki::core::study::Study;
 use loki::runtime::harness::{
-    run_study_with_workers, CampaignPipeline, PipelineSummary, SimHarnessConfig,
+    run_study_with_workers, try_run_experiment, CampaignPipeline, PipelineSummary, SimHarnessConfig,
 };
 use std::sync::Arc;
 
@@ -31,6 +37,22 @@ fn ring_campaign() -> (Arc<Study>, loki::runtime::AppFactory) {
     );
     let study = Study::compile_arc(&def).expect("valid study");
     (study, ring_factory(RingConfig::default()))
+}
+
+/// The fresh-world reference: every experiment on a newly built
+/// simulation, analyzed on its own.
+fn reference(
+    study: &Arc<Study>,
+    factory: &loki::runtime::AppFactory,
+    cfg: &SimHarnessConfig,
+    experiments: u32,
+) -> Vec<AnalyzedExperiment> {
+    (0..experiments)
+        .map(|k| {
+            let data = try_run_experiment(study, factory.clone(), cfg, k).expect("valid config");
+            analyze_one(study, &data, &AnalysisOptions::default())
+        })
+        .collect()
 }
 
 /// Runs the pipeline and collects every compact result in sink order.
@@ -52,22 +74,20 @@ fn batched_results_are_byte_identical_across_k_and_workers() {
     let cfg = SimHarnessConfig::three_hosts(0xBA7C);
     let experiments = 10u32;
 
-    // Reference: the per-experiment baseline engine, one worker — the
-    // pre-batching path, byte for byte.
-    let baseline_pipeline = CampaignPipeline::new(study.clone(), factory.clone(), cfg.clone())
-        .per_experiment_baseline();
-    let (baseline, baseline_summary) = run_collect(&baseline_pipeline, experiments, 1);
+    // Reference: a fresh world per experiment — the pre-batching engine,
+    // byte for byte.
+    let baseline = reference(&study, &factory, &cfg, experiments);
     assert_eq!(baseline.len(), experiments as usize);
-    assert_eq!(baseline_summary.batch, 1);
     assert!(
         baseline.iter().any(|a| a.injections > 0),
         "campaign must inject"
     );
-    // The baseline retires its context after every experiment, so the
-    // recycling counters stay at their documented zeros.
-    assert_eq!(baseline_summary.actor_reuses, 0);
-    assert_eq!(baseline_summary.timeline_reuses, 0);
-    assert_eq!(baseline_summary.events, 0);
+    let accepted = baseline.iter().filter(|a| a.accepted()).count();
+    let completed = baseline
+        .iter()
+        .filter(|a| a.end == ExperimentEnd::Completed)
+        .count();
+    let injections: usize = baseline.iter().map(|a| a.injections).sum();
 
     for k in [1usize, 2, 4, 8] {
         for workers in [1usize, 2, 4] {
@@ -88,9 +108,9 @@ fn batched_results_are_byte_identical_across_k_and_workers() {
                 "K={k} workers={workers}: results diverged from the per-experiment baseline"
             );
             assert_eq!(summary.batch, k);
-            assert_eq!(summary.accepted, baseline_summary.accepted);
-            assert_eq!(summary.completed, baseline_summary.completed);
-            assert_eq!(summary.injections, baseline_summary.injections);
+            assert_eq!(summary.accepted, accepted);
+            assert_eq!(summary.completed, completed);
+            assert_eq!(summary.injections, injections);
 
             // Bounded retention: never more in-flight experiments than
             // workers × batch.
@@ -114,9 +134,9 @@ fn batched_results_are_byte_identical_across_k_and_workers() {
         }
     }
 
-    // The per-experiment `run_study` path agrees with the batched
-    // pipeline's verdict-relevant data: reset-reused worlds replay exactly
-    // like the fresh worlds `run_study` builds.
+    // `run_study` agrees with the pipeline's verdict-relevant data.
+    let mut cfg = cfg;
+    cfg.batch = Some(4);
     let raw = run_study_with_workers(&study, factory, &cfg, experiments, 2)
         .expect("valid campaign config");
     for (data, analyzed) in raw.iter().zip(&baseline) {
@@ -164,15 +184,13 @@ fn net_fault_campaign_batches_byte_identically() {
     // network fault plane is part of that world: its armed state and its
     // RNG draws must reset and replay exactly, or a partition from
     // experiment N would leak into experiment N+1's messages. Pin the
-    // K × workers matrix against the per-experiment baseline under the
-    // full fault vocabulary.
+    // K × workers matrix against the fresh-world reference under the full
+    // fault vocabulary.
     let (study, factory) = netfault_campaign();
     let cfg = SimHarnessConfig::three_hosts(0x2C2C);
     let experiments = 8u32;
 
-    let baseline_pipeline = CampaignPipeline::new(study.clone(), factory.clone(), cfg.clone())
-        .per_experiment_baseline();
-    let (baseline, _) = run_collect(&baseline_pipeline, experiments, 1);
+    let baseline = reference(&study, &factory, &cfg, experiments);
     assert_eq!(baseline.len(), experiments as usize);
     assert!(
         baseline.iter().any(|a| a.injections >= 2),
@@ -195,6 +213,36 @@ fn net_fault_campaign_batches_byte_identically() {
 }
 
 #[test]
+fn run_study_returns_exactly_the_fresh_world_data() {
+    // `run_study` is the campaign loop with the raw data left in: every
+    // `ExperimentData` — timelines, sync samples, warnings, end — must
+    // equal what a fresh world produces for the same index, whatever the
+    // batch size and worker count.
+    for (name, (study, factory), experiments) in [
+        ("ring", ring_campaign(), 8u32),
+        ("net-fault", netfault_campaign(), 6),
+    ] {
+        let cfg = SimHarnessConfig::three_hosts(0xDA7A);
+        let fresh: Vec<_> = (0..experiments)
+            .map(|k| try_run_experiment(&study, factory.clone(), &cfg, k).expect("valid config"))
+            .collect();
+        for k in [1usize, 4] {
+            for workers in [1usize, 3] {
+                let mut cfg = cfg.clone();
+                cfg.batch = Some(k);
+                let raw =
+                    run_study_with_workers(&study, factory.clone(), &cfg, experiments, workers)
+                        .expect("valid campaign config");
+                assert!(
+                    raw == fresh,
+                    "{name} K={k} workers={workers}: run_study diverged from try_run_experiment"
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn pooling_recycles_across_experiments_without_changing_results() {
     // A restart-policy campaign exercises the full pooled-actor lifecycle:
     // mid-experiment node respawns (supervisor restarts the killed token
@@ -208,9 +256,7 @@ fn pooling_recycles_across_experiments_without_changing_results() {
     cfg.restart = Some(RestartPolicy::default());
     cfg.batch = Some(2);
 
-    let baseline_pipeline = CampaignPipeline::new(study.clone(), factory.clone(), cfg.clone())
-        .per_experiment_baseline();
-    let (baseline, _) = run_collect(&baseline_pipeline, 12, 1);
+    let baseline = reference(&study, &factory, &cfg, 12);
 
     let pipeline = CampaignPipeline::new(study, factory, cfg);
     let (streamed, summary) = run_collect(&pipeline, 12, 1);
