@@ -13,14 +13,14 @@ use loki_apps::token_ring::{ring_factory, ring_study, RingConfig};
 use loki_bench::accuracy::{injection_accuracy, AccuracyConfig};
 use loki_bench::report;
 use loki_clock::params::{ClockParams, VirtualClock};
-use loki_clock::sync::{estimate_alpha_beta, AlphaBetaBounds, SyncOptions};
+use loki_clock::sync::{estimate_alpha_beta, SyncOptions};
 use loki_core::campaign::{ExperimentData, HostSync, SyncSample};
 use loki_core::fault::{FaultExpr, FaultParser, Trigger};
-use loki_core::ids::{Id, StateId, SymbolTable};
-use loki_core::recorder::{RecordKind, Recorder};
+use loki_core::ids::{Id, SymbolTable};
+use loki_core::recorder::Recorder;
 use loki_core::spec::{StateMachineSpec, StudyDef};
 use loki_core::study::Study;
-use loki_core::time::{LocalNanos, TimeBounds};
+use loki_core::time::LocalNanos;
 use loki_core::view::PartialView;
 use loki_measure::fig42::{fig_4_2, predicate_3};
 use loki_measure::obsfn::{ImpulseStep, ObservationFn, UpDown};
@@ -30,7 +30,6 @@ use loki_runtime::harness::{
 };
 use loki_runtime::messages::NotifyRouting;
 use loki_sim::config::HostConfig;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Fault parser re-evaluation on a view change (the §3.5.5 hot path).
@@ -253,8 +252,8 @@ fn make_global_fixture() -> (Study, ExperimentData) {
     });
     let study = Study::compile(&def).expect("valid study");
 
-    // Realistic fleet-style host names: the PR 3 baseline hashed one of
-    // these per record.
+    // Realistic fleet-style host names: long strings that interning keeps
+    // off the per-record path.
     let symbols =
         Arc::new(SymbolTable::for_hosts((0..HOSTS).map(|h| {
             format!("worker-{h:02}.rack{}.dc1.cluster.example.com", h % 4)
@@ -326,171 +325,33 @@ fn make_global_fixture() -> (Study, ExperimentData) {
     (study, data)
 }
 
-/// The event payload the PR 3 `GlobalEventKind` carried: ids for state
-/// changes and injections, an owned `String` for restart hosts.
-#[allow(dead_code)] // mirrors the retired type; fields exist to be built
-enum BaselineKind {
-    StateChange {
-        event: loki_core::ids::EventId,
-        from_state: StateId,
-        new_state: StateId,
-    },
-    Injection {
-        fault: loki_core::ids::FaultId,
-    },
-    Restart {
-        host: String,
-    },
-    UserMessage(String),
-}
-
-#[allow(dead_code)] // mirrors the retired type; fields exist to be built
-struct BaselineEvent {
-    sm: u32,
-    kind: BaselineKind,
-    bounds: TimeBounds,
-    record_index: usize,
-}
-
-type BaselineInterval = (u32, StateId, TimeBounds, Option<TimeBounds>);
-
-/// The PR 3 string-based `make_global`, reproduced cost-for-cost: a
-/// name-keyed `HashMap<String, AlphaBetaBounds>` for calibration, a full
-/// stint rescan (`host_of_record`) plus a string-hash lookup per record,
-/// owned host `String`s cloned into restart events, no capacity
-/// reservation — and the same event/interval construction and final sort
-/// as the real thing, so the comparison isolates exactly what interning
-/// and the cursor scan removed.
-fn make_global_strings_baseline(
-    study: &Study,
-    data: &ExperimentData,
-) -> (
-    Vec<BaselineEvent>,
-    Vec<BaselineInterval>,
-    HashMap<String, AlphaBetaBounds>,
-) {
-    let opts = SyncOptions::default();
-    let mut alpha_beta: HashMap<String, AlphaBetaBounds> = HashMap::new();
-    alpha_beta.insert(
-        data.host_name(data.reference_host).to_owned(),
-        AlphaBetaBounds::identity(),
-    );
-    for &host in &data.hosts {
-        if host == data.reference_host {
-            continue;
-        }
-        let samples = data.sync_samples_for(host);
-        let bounds = estimate_alpha_beta(&samples, &opts).unwrap();
-        alpha_beta.insert(data.host_name(host).to_owned(), bounds);
-    }
-
-    let mut events: Vec<BaselineEvent> = Vec::new();
-    let mut intervals: Vec<BaselineInterval> = Vec::new();
-    for timeline in &data.timelines {
-        let mut current_state = study.reserved.begin;
-        let mut open: Option<(StateId, TimeBounds)> = None;
-        for (idx, record) in timeline.records.iter().enumerate() {
-            // PR 3 shape: full stint scan per record, then hash the name.
-            let host = data.host_name(timeline.host_of_record(idx));
-            let ab = &alpha_beta[host];
-            let bounds = ab.project(record.time);
-            let kind = match &record.kind {
-                RecordKind::StateChange { event, new_state } => {
-                    let from_state = current_state;
-                    if let Some((state, enter)) = open.take() {
-                        intervals.push((timeline.sm.raw(), state, enter, Some(bounds)));
-                    }
-                    open = Some((*new_state, bounds));
-                    current_state = *new_state;
-                    BaselineKind::StateChange {
-                        event: *event,
-                        from_state,
-                        new_state: *new_state,
-                    }
-                }
-                RecordKind::FaultInjection { fault } => BaselineKind::Injection { fault: *fault },
-                RecordKind::Restart { host } => {
-                    if let Some((state, enter)) = open.take() {
-                        intervals.push((timeline.sm.raw(), state, enter, Some(bounds)));
-                    }
-                    open = Some((study.reserved.begin, bounds));
-                    current_state = study.reserved.begin;
-                    BaselineKind::Restart {
-                        host: data.host_name(*host).to_owned(),
-                    }
-                }
-                RecordKind::UserMessage(m) => BaselineKind::UserMessage(m.to_string()),
-            };
-            events.push(BaselineEvent {
-                sm: timeline.sm.raw(),
-                kind,
-                bounds,
-                record_index: idx,
-            });
-        }
-        if let Some((state, enter)) = open.take() {
-            intervals.push((timeline.sm.raw(), state, enter, None));
-        }
-    }
-    events.sort_by(|a, b| a.bounds.mid().total_cmp(&b.bounds.mid()));
-    (events, intervals, alpha_beta)
-}
-
-/// `make_global` on the 32-machine / 8-host / 64-stint view: the interned
-/// hot path against the PR 3 string-based baseline. The untimed gauge pass
-/// records the speedup and ns/op for the `BENCH_pr4.json` artifact.
+/// `make_global` on the 32-machine / 8-host / 64-stint view. The untimed
+/// gauge pass records ns/op for the metrics artifact.
 fn bench_make_global(c: &mut Criterion) {
-    let names = [
-        "make_global_32m/interned",
-        "make_global_32m/strings_baseline",
-    ];
-    if names.iter().all(|n| criterion::is_filtered_out(n)) {
+    if criterion::is_filtered_out("make_global_32m/interned") {
         return;
     }
     let (study, data) = make_global_fixture();
     let opts = GlobalOptions::default();
 
-    // Sanity: both paths see the same projected event count.
-    let gt = make_global(&study, &data, &opts).expect("fixture analyzes");
-    let (ref_events, ref_intervals, _) = make_global_strings_baseline(&study, &data);
-    assert_eq!(gt.events.len(), ref_events.len());
-    assert_eq!(gt.intervals.len(), ref_intervals.len());
-
     // Untimed gauge pass for the metrics artifact.
-    let time = |f: &dyn Fn()| {
-        const ITERS: u32 = 20;
-        for _ in 0..3 {
-            f(); // warm up caches and the allocator
-        }
-        let start = std::time::Instant::now();
-        for _ in 0..ITERS {
-            f();
-        }
-        start.elapsed().as_nanos() as f64 / ITERS as f64
-    };
-    let interned_ns = time(&|| {
+    const ITERS: u32 = 20;
+    for _ in 0..3 {
+        // Warm up caches and the allocator.
         criterion::black_box(make_global(&study, &data, &opts).unwrap());
-    });
-    let strings_ns = time(&|| {
-        criterion::black_box(make_global_strings_baseline(&study, &data));
-    });
+    }
+    let start = std::time::Instant::now();
+    for _ in 0..ITERS {
+        criterion::black_box(make_global(&study, &data, &opts).unwrap());
+    }
+    let interned_ns = start.elapsed().as_nanos() as f64 / f64::from(ITERS);
     report::record("make_global_32m_ns_per_op", interned_ns);
-    report::record("make_global_32m_strings_ns_per_op", strings_ns);
-    report::record("make_global_32m_speedup", strings_ns / interned_ns);
-    println!(
-        "make_global_32m: interned {:.0} ns/op, string baseline {:.0} ns/op ({:.2}x)",
-        interned_ns,
-        strings_ns,
-        strings_ns / interned_ns
-    );
+    println!("make_global_32m: interned {interned_ns:.0} ns/op");
 
     let mut group = c.benchmark_group("make_global_32m");
     group.sample_size(20);
     group.bench_function("interned", |bencher| {
         bencher.iter(|| criterion::black_box(make_global(&study, &data, &opts).unwrap()))
-    });
-    group.bench_function("strings_baseline", |bencher| {
-        bencher.iter(|| criterion::black_box(make_global_strings_baseline(&study, &data)))
     });
     group.finish();
 }
@@ -735,8 +596,8 @@ fn bench_event_overhead(c: &mut Criterion) {
     let factory = ring_factory(RingConfig::default());
     let mut cfg = SimHarnessConfig::three_hosts(0xE7E7);
     cfg.batch = Some(K);
-    // Containment armed, ceilings far above what the workload uses: the
-    // gauge prices the armed admission branch, not budget trips.
+    // Budgets set, with ceilings far above what the workload uses: the
+    // gauge prices the per-event bound check, not budget trips.
     cfg.max_virtual_time = Some(30_000_000_000);
     cfg.max_events = Some(100_000_000);
 
@@ -804,12 +665,7 @@ fn bench_event_overhead(c: &mut Criterion) {
 /// a heartbeat that fans out notification-like messages to three peers,
 /// re-arms (set + cancel) a watchdog timer every round, and watches its
 /// neighbour; a quarter of the nodes crash at the end, exercising the
-/// peer-down path. The same workload runs on the real engine (index heap +
-/// timer slab + dense actor state + `InlineVec` fan-out) and on
-/// [`loki_bench::event_baseline`] — a structure-for-structure replica of
-/// the previous engine (full-payload heap, `HashMap` FIFO horizons,
-/// `HashSet` timer tombstones, `Vec` fan-out) — so the measured delta is
-/// exactly the event-core rework.
+/// peer-down path.
 mod storm {
     use loki_core::small::InlineVec;
 
@@ -819,8 +675,7 @@ mod storm {
     pub const TAG_TICK: u64 = 0;
     pub const TAG_DOG: u64 = 1;
 
-    /// A notification-shaped message: the fan-out list is the part the
-    /// engines carry differently (inline vs heap-allocated).
+    /// A notification-shaped message with an inline fan-out list.
     #[derive(Clone)]
     pub enum NewMsg {
         Note {
@@ -830,17 +685,7 @@ mod storm {
         },
     }
 
-    /// The baseline's message: identical content, `Vec` fan-out (one heap
-    /// allocation per message, as before the rework).
-    pub enum BaseMsg {
-        Note {
-            seq: u64,
-            hops: u8,
-            targets: Vec<u32>,
-        },
-    }
-
-    /// Deterministic peer choice shared by both implementations.
+    /// Deterministic peer choice.
     pub fn peer(idx: u32, k: u32) -> u32 {
         (idx + k * 7 + 1) % HOSTS
     }
@@ -947,150 +792,28 @@ fn run_storm_indexed(seed: u64) -> u64 {
     delivered.get()
 }
 
-/// The identical storm on the baseline (previous-structures) engine.
-fn run_storm_baseline(seed: u64) -> u64 {
-    use loki_bench::event_baseline::{
-        ActorId, BaselineActor, BaselineCtx, BaselineSim, DownReason, TimerId,
-    };
-    use std::cell::Cell;
-    use std::rc::Rc;
-    use storm::{BaseMsg, FANOUT, HOSTS, ROUNDS, TAG_DOG, TAG_TICK};
-
-    struct Node {
-        idx: u32,
-        rounds_left: u32,
-        seq: u64,
-        watchdog: Option<TimerId>,
-        delivered: Rc<Cell<u64>>,
-    }
-    impl BaselineActor<BaseMsg> for Node {
-        fn on_start(&mut self, ctx: &mut BaselineCtx<'_, BaseMsg>) {
-            ctx.watch(ActorId((self.idx + 1) % HOSTS));
-            ctx.set_timer(10_000 + u64::from(self.idx) * 97, TAG_TICK);
-        }
-        fn on_message(&mut self, ctx: &mut BaselineCtx<'_, BaseMsg>, from: ActorId, msg: BaseMsg) {
-            let BaseMsg::Note { seq, hops, targets } = msg;
-            // Consume the fan-out list like a daemon routing it.
-            self.delivered
-                .set(self.delivered.get() + targets.len() as u64);
-            if hops == 0 && seq % 4 == 0 {
-                ctx.send(
-                    from,
-                    BaseMsg::Note {
-                        seq: seq + 1,
-                        hops: 1,
-                        targets: vec![self.idx],
-                    },
-                );
-            }
-        }
-        fn on_timer(&mut self, ctx: &mut BaselineCtx<'_, BaseMsg>, tag: u64) {
-            if tag != TAG_TICK {
-                return;
-            }
-            if let Some(old) = self.watchdog.take() {
-                ctx.cancel_timer(old);
-            }
-            self.watchdog = Some(ctx.set_timer(5_000_000, TAG_DOG));
-            for k in 0..FANOUT {
-                let to = storm::peer(self.idx, k);
-                self.seq += 1;
-                ctx.send(
-                    ActorId(to),
-                    BaseMsg::Note {
-                        seq: self.seq,
-                        hops: 0,
-                        targets: vec![self.idx, to, k],
-                    },
-                );
-            }
-            self.rounds_left -= 1;
-            if self.rounds_left > 0 {
-                ctx.set_timer(20_000 + u64::from(self.idx * 31 % 11) * 1_000, TAG_TICK);
-            } else if self.idx % 4 == 3 {
-                ctx.crash_self();
-            }
-        }
-        fn on_peer_down(
-            &mut self,
-            _ctx: &mut BaselineCtx<'_, BaseMsg>,
-            _peer: ActorId,
-            _reason: DownReason,
-        ) {
-            self.delivered.set(self.delivered.get() + 1);
-        }
-    }
-
-    let mut sim: BaselineSim<BaseMsg> = BaselineSim::new(seed);
-    let delivered = Rc::new(Cell::new(0u64));
-    let hosts: Vec<_> = (0..HOSTS)
-        .map(|i| {
-            sim.add_host(
-                loki_sim::config::HostConfig::new(&format!("h{i}")).timeslice_ns(2_000_000),
-            )
-        })
-        .collect();
-    for (i, &h) in hosts.iter().enumerate() {
-        sim.spawn(
-            h,
-            Box::new(Node {
-                idx: i as u32,
-                rounds_left: ROUNDS,
-                seq: 0,
-                watchdog: None,
-                delivered: delivered.clone(),
-            }),
-        );
-    }
-    sim.run();
-    delivered.get()
-}
-
-/// The event-core storm: the indexed engine against the cost-faithful
-/// replica of the previous structures. The untimed gauge pass records the
-/// speedup for the `BENCH_pr5.json` artifact.
+/// The event-core storm on the indexed engine. The untimed gauge pass
+/// records ns/storm for the metrics artifact.
 fn bench_sim_event_core(c: &mut Criterion) {
-    let names = [
-        "sim_event_core/indexed_slab_engine",
-        "sim_event_core/hash_heap_baseline",
-    ];
-    if names.iter().all(|n| criterion::is_filtered_out(n)) {
+    if criterion::is_filtered_out("sim_event_core/indexed_slab_engine") {
         return;
     }
 
-    // Sanity: both engines drive the identical storm (same RNG draws, same
-    // delivery schedule) — the workloads being compared are the same.
-    assert_eq!(run_storm_indexed(0x10C0), run_storm_baseline(0x10C0));
-
-    let time = |f: &dyn Fn() -> u64| {
-        const ITERS: u32 = 30;
-        for _ in 0..10 {
-            criterion::black_box(f()); // warm caches and the allocator
-        }
-        let start = std::time::Instant::now();
-        for _ in 0..ITERS {
-            criterion::black_box(f());
-        }
-        start.elapsed().as_nanos() as f64 / ITERS as f64
-    };
-    let indexed_ns = time(&|| run_storm_indexed(7));
-    let baseline_ns = time(&|| run_storm_baseline(7));
+    const ITERS: u32 = 30;
+    for _ in 0..10 {
+        criterion::black_box(run_storm_indexed(7)); // warm caches and the allocator
+    }
+    let start = std::time::Instant::now();
+    for _ in 0..ITERS {
+        criterion::black_box(run_storm_indexed(7));
+    }
+    let indexed_ns = start.elapsed().as_nanos() as f64 / f64::from(ITERS);
     report::record("sim_event_core_indexed_ns_per_storm", indexed_ns);
-    report::record("sim_event_core_baseline_ns_per_storm", baseline_ns);
-    report::record("sim_event_core_speedup", baseline_ns / indexed_ns);
-    println!(
-        "sim_event_core: indexed {:.0} ns/storm, hash/heap baseline {:.0} ns/storm ({:.2}x)",
-        indexed_ns,
-        baseline_ns,
-        baseline_ns / indexed_ns
-    );
+    println!("sim_event_core: indexed {indexed_ns:.0} ns/storm");
 
     let mut group = c.benchmark_group("sim_event_core");
     group.bench_function("indexed_slab_engine", |bencher| {
         bencher.iter(|| criterion::black_box(run_storm_indexed(7)))
-    });
-    group.bench_function("hash_heap_baseline", |bencher| {
-        bencher.iter(|| criterion::black_box(run_storm_baseline(7)))
     });
     group.finish();
 }

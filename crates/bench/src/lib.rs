@@ -21,7 +21,6 @@
 pub mod ablation;
 pub mod accuracy;
 pub mod ch5;
-pub mod event_baseline;
 pub mod report;
 
 pub use ablation::{entry_connections, notification_latency, LatencySample};

@@ -66,7 +66,8 @@ pub enum ExperimentFailure {
     /// (`SimHarnessConfig::max_virtual_time`) was exhausted.
     BudgetVirtualTime,
     /// The per-experiment event-count budget
-    /// (`SimHarnessConfig::max_events`) was exhausted.
+    /// (`SimHarnessConfig::max_events`, or the engine's default ceiling
+    /// when it is unset) was exhausted.
     BudgetEvents,
     /// The wall-clock watchdog expired (thread backend only): one or more
     /// node threads never finished and were detached.

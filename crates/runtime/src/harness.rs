@@ -173,16 +173,20 @@ pub struct SimHarnessConfig {
     /// [`ExperimentFailure::BudgetVirtualTime`] instead of running on. The
     /// trip point depends only on `(seed, experiment)` — never on worker
     /// count or batch size — so budgeted campaigns stay byte-identical
-    /// across pool shapes. `None` (the default) disarms the budget
-    /// entirely; a disarmed world pays one predictable branch per event.
-    /// Simulation-only; the thread backend's equivalent is the wall-clock
-    /// watchdog derived from [`SimHarnessConfig::timeout_ns`].
+    /// across pool shapes. `None` (the default) sets no virtual-time
+    /// ceiling. Simulation-only; the thread backend's equivalent is the
+    /// wall-clock watchdog derived from [`SimHarnessConfig::timeout_ns`].
     pub max_virtual_time: Option<u64>,
     /// Deterministic event-count budget: an experiment that has processed
     /// this many simulation events ends as
     /// [`ExperimentFailure::BudgetEvents`]. Counts every event of the
     /// experiment (sync mini-phases included); same determinism contract
-    /// and default as [`SimHarnessConfig::max_virtual_time`].
+    /// as [`SimHarnessConfig::max_virtual_time`]. `None` (the default)
+    /// means the engine's default ceiling,
+    /// [`DEFAULT_MAX_EVENTS`](loki_sim::engine::DEFAULT_MAX_EVENTS): a
+    /// runaway experiment still ends as
+    /// [`ExperimentFailure::BudgetEvents`], with its "after N events at
+    /// virtual time T" warning.
     pub max_events: Option<u64>,
     /// Retry policy for failed experiments on the threads backend (the
     /// default retries nothing); ignored by the deterministic simulation.
@@ -437,9 +441,9 @@ impl<'a> SimStudy<'a> {
         recycled: Option<ExpScript>,
     ) -> ExpScript {
         sim.reset(self.cfg.seed.wrapping_add(experiment as u64));
-        // Arm the deterministic experiment budgets (`reset` disarmed the
-        // recycled world's). The trip point depends only on the event
-        // stream, which depends only on `(seed, experiment)`.
+        // Set the deterministic experiment budgets (`reset` restored the
+        // recycled world's defaults). The trip point depends only on the
+        // event stream, which depends only on `(seed, experiment)`.
         sim.set_budget(self.cfg.max_virtual_time, self.cfg.max_events);
         sim.disable_trace();
         // Park killed actors' boxes for hull recycling instead of

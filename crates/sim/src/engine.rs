@@ -281,6 +281,11 @@ impl WorldConfig {
     }
 }
 
+/// The event-count ceiling a world starts from when no budget sets one
+/// (see [`Simulation::set_budget`]): a runaway world trips it as
+/// [`BudgetExceeded::Events`].
+pub const DEFAULT_MAX_EVENTS: u64 = 50_000_000;
+
 /// Which per-experiment containment budget a world exhausted (see
 /// [`Simulation::set_budget`]). A tripped world refuses further events
 /// and reads as drained to its driver; the harness maps this into a
@@ -354,12 +359,10 @@ pub struct Simulation<M> {
     rng: StdRng,
     trace: Vec<TraceEntry>,
     trace_enabled: bool,
-    max_events: u64,
     events_processed: u64,
-    /// Per-experiment containment budgets (see [`Simulation::set_budget`]).
-    /// `budget_armed` is the single branch the disarmed hot path pays;
-    /// the ceilings and trip record are touched only when armed.
-    budget_armed: bool,
+    /// The engine's only bound (see [`Simulation::set_budget`]): `step`
+    /// compares the head event against these two ceilings and takes the
+    /// cold [`Simulation::budget_admit`] path only when one is passed.
     budget_virtual_ns: u64,
     budget_events: u64,
     budget_tripped: Option<BudgetExceeded>,
@@ -398,11 +401,9 @@ impl<M: 'static> Simulation<M> {
             rng: StdRng::seed_from_u64(seed),
             trace: Vec::new(),
             trace_enabled: true,
-            max_events: 50_000_000,
             events_processed: 0,
-            budget_armed: false,
             budget_virtual_ns: u64::MAX,
-            budget_events: u64::MAX,
+            budget_events: DEFAULT_MAX_EVENTS,
             budget_tripped: None,
             reclaim_dead: false,
             graveyard: Vec::new(),
@@ -419,11 +420,10 @@ impl<M: 'static> Simulation<M> {
     /// After a reset the world is observationally identical to
     /// `Simulation::with_config(config, seed)` — same hosts (they live in
     /// the shared config), same RNG stream, trace collection re-enabled,
-    /// scheduling delays re-enabled — except that the event cap set via
-    /// [`Simulation::set_max_events`] is kept (it guards each run).
-    /// Containment budgets ([`Simulation::set_budget`]) are *disarmed*:
-    /// they are per-experiment, so a harness reusing the world re-arms
-    /// them after every reset.
+    /// scheduling delays re-enabled. Any budget trip is cleared and the
+    /// ceilings return to their defaults (no virtual-time ceiling,
+    /// [`DEFAULT_MAX_EVENTS`]): budgets are per-experiment, so a harness
+    /// reusing the world sets them again after every reset.
     pub fn reset(&mut self, seed: u64) {
         self.time = 0;
         self.queue.reset();
@@ -442,10 +442,7 @@ impl<M: 'static> Simulation<M> {
         self.trace.clear();
         self.trace_enabled = true;
         self.events_processed = 0;
-        self.budget_armed = false;
-        self.budget_virtual_ns = u64::MAX;
-        self.budget_events = u64::MAX;
-        self.budget_tripped = None;
+        self.set_budget(None, None);
         self.reclaim_dead = false;
         self.graveyard.clear();
         self.net_faults.reset();
@@ -480,32 +477,24 @@ impl<M: 'static> Simulation<M> {
         self.trace.clear();
     }
 
-    /// Caps the number of processed events (a runaway guard).
-    pub fn set_max_events(&mut self, max: u64) {
-        self.max_events = max;
-    }
-
-    /// Arms per-experiment containment budgets: a virtual-time ceiling
-    /// (events scheduled after `max_virtual_ns` never run) and an
-    /// event-count ceiling. `None` leaves a ceiling unbounded; both
-    /// `None` disarms the check entirely, restoring the zero-cost hot
-    /// path (unlike the [`Simulation::set_max_events`] runaway guard,
-    /// which always applies and panics).
+    /// Sets the per-experiment budgets, the engine's only bound: a
+    /// virtual-time ceiling (events scheduled after `max_virtual_ns`
+    /// never run) and an event-count ceiling. `None` means the default:
+    /// no virtual-time ceiling, and [`DEFAULT_MAX_EVENTS`] events, so a
+    /// runaway world always ends in a typed trip. Setting the budgets
+    /// clears any previous trip.
     ///
-    /// Armed, [`Simulation::step`] refuses the first event past either
-    /// ceiling, [`Simulation::budget_exceeded`] reports which ceiling
-    /// tripped, and [`Simulation::next_event_time`] reads `None` so a
+    /// [`Simulation::step`] refuses the first event past either ceiling,
+    /// [`Simulation::budget_exceeded`] reports which ceiling tripped, and
+    /// [`Simulation::next_event_time`] reads `None` so a
     /// [`WorldSet`](crate::batch::WorldSet) treats the world as drained.
     /// The trip point depends only on the world's own event sequence —
     /// never on how the world is driven — so it is identical across
     /// `step`/`run`/`run_ready` bursts and any batch interleaving.
     pub fn set_budget(&mut self, max_virtual_ns: Option<u64>, max_events: Option<u64>) {
         self.budget_virtual_ns = max_virtual_ns.unwrap_or(u64::MAX);
-        self.budget_events = max_events.unwrap_or(u64::MAX);
-        self.budget_armed = max_virtual_ns.is_some() || max_events.is_some();
-        if !self.budget_armed {
-            self.budget_tripped = None;
-        }
+        self.budget_events = max_events.unwrap_or(DEFAULT_MAX_EVENTS);
+        self.budget_tripped = None;
     }
 
     /// Which containment budget tripped, if any (see
@@ -514,11 +503,11 @@ impl<M: 'static> Simulation<M> {
         self.budget_tripped
     }
 
-    /// Armed-path admission check: trips a budget when the next event
-    /// would pass a ceiling, and refuses it. Deterministic for any
-    /// driver because it reads only `events_processed`, the next event's
-    /// scheduled time, and that event's target-liveness — all invariant
-    /// under burst shape.
+    /// The cold half of [`Simulation::step`]'s bound, taken only when
+    /// the head event is past a ceiling: trips a budget and refuses the
+    /// event. Deterministic for any driver because it reads only
+    /// `events_processed`, the next event's scheduled time, and that
+    /// event's target-liveness — all invariant under burst shape.
     ///
     /// Garbage head events — a cancelled timer, or any event addressed
     /// to a dead actor — are discarded rather than tripped on: processing
@@ -526,9 +515,10 @@ impl<M: 'static> Simulation<M> {
     /// in fact finished routinely leaves such events behind (an exited
     /// daemon's far-future watchdog timer, exit-race deliveries). Tripping
     /// on those would fail healthy experiments. The discard happens only
-    /// when a ceiling is already passed, so the disarmed and under-budget
-    /// hot paths are untouched.
-    #[inline]
+    /// when a ceiling is already passed, so the under-budget hot path is
+    /// untouched.
+    #[cold]
+    #[inline(never)]
     fn budget_admit(&mut self) -> bool {
         if self.budget_tripped.is_some() {
             return false;
@@ -558,6 +548,9 @@ impl<M: 'static> Simulation<M> {
                 } else {
                     BudgetExceeded::VirtualTime
                 });
+                // Keep `step`'s fast check failing from here on, so a
+                // tripped world stays refused whatever is queued later.
+                self.budget_events = 0;
                 return false;
             }
             if let Some((_, Event::Timer { id, .. })) = self.queue.pop() {
@@ -747,11 +740,9 @@ impl<M: 'static> Simulation<M> {
         self.graveyard.drain(..)
     }
 
-    /// Runs until the event queue drains.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the event cap is exceeded (runaway protection).
+    /// Runs until the event queue drains or a budget trips (see
+    /// [`Simulation::set_budget`]; a runaway world trips the default
+    /// [`DEFAULT_MAX_EVENTS`] ceiling rather than panicking).
     pub fn run(&mut self) {
         while self.step() {}
     }
@@ -801,18 +792,18 @@ impl<M: 'static> Simulation<M> {
     /// Processes one event. Returns `false` when the queue is empty or a
     /// containment budget has tripped (see [`Simulation::set_budget`]).
     pub fn step(&mut self) -> bool {
-        if self.budget_armed && !self.budget_admit() {
+        let Some(next) = self.queue.peek_time() else {
+            return false;
+        };
+        if (self.events_processed >= self.budget_events || next > self.budget_virtual_ns)
+            && !self.budget_admit()
+        {
             return false;
         }
         let Some((time, event)) = self.queue.pop() else {
             return false;
         };
         self.events_processed += 1;
-        assert!(
-            self.events_processed <= self.max_events,
-            "simulation exceeded {} events — runaway?",
-            self.max_events
-        );
         debug_assert!(time >= self.time, "time went backwards");
         self.time = time;
         match event {

@@ -41,6 +41,6 @@ pub use batch::WorldSet;
 pub use config::{HostConfig, LatencyModel, NetworkConfig};
 pub use engine::{
     Actor, ActorId, BudgetExceeded, Ctx, DownReason, DuplicateHost, HostId, Simulation, TimerId,
-    TraceEntry, WorldConfig,
+    TraceEntry, WorldConfig, DEFAULT_MAX_EVENTS,
 };
 pub use netfault::{LinkFaultParams, NetFaultError, NetFaultPlane};

@@ -461,7 +461,9 @@ pub fn write_action_file(probe: &ActionProbe) -> String {
 ///
 /// Mirrors `SimHarnessConfig::{max_virtual_time, max_events}` and the
 /// thread backend's bounded-retry policy. A field absent from the file
-/// stays `None`/default, meaning "unbounded" / "no retry".
+/// stays `None`: no virtual-time ceiling, the engine's default event
+/// ceiling (`loki_sim::engine::DEFAULT_MAX_EVENTS`, which still trips as
+/// `BudgetEvents`), no retry.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BudgetSpec {
     /// Virtual-time ceiling per experiment, in nanoseconds.
@@ -480,7 +482,7 @@ pub struct BudgetSpec {
 /// # Errors
 ///
 /// Returns a [`ParseError`] for unknown keys, malformed numbers, missing
-/// values, or duplicate keys.
+/// values, duplicate keys, or a `max_retries` above `u32::MAX`.
 ///
 /// # Examples
 ///
@@ -524,7 +526,13 @@ pub fn parse_budget_file(text: &str) -> Result<BudgetSpec, ParseError> {
                 if spec.max_retries.is_some() {
                     return Err(duplicate(lineno, key));
                 }
-                spec.max_retries = Some(parse_u64(lineno, key, value)? as u32);
+                let retries = parse_u64(lineno, key, value)?;
+                spec.max_retries = Some(u32::try_from(retries).map_err(|_| {
+                    ParseError::at(
+                        lineno,
+                        format!("{key} `{value}` exceeds the maximum of {}", u32::MAX),
+                    )
+                })?);
             }
             "retry_backoff_ms" => {
                 if spec.retry_backoff_ms.is_some() {
@@ -776,7 +784,7 @@ retry_backoff_ms 50
         let rewritten = write_budget_file(&budget);
         assert_eq!(parse_budget_file(&rewritten).unwrap(), budget);
 
-        // Partial files leave the other knobs unbounded.
+        // Partial files leave the other knobs unset.
         let partial = parse_budget_file("max_events 1000\n").unwrap();
         assert_eq!(partial.max_events, Some(1000));
         assert_eq!(partial.max_virtual_time_ns, None);
@@ -790,6 +798,16 @@ retry_backoff_ms 50
         assert!(parse_budget_file("max_events many\n").is_err()); // not a number
         assert!(parse_budget_file("wall_clock_ns 5\n").is_err()); // unknown key
         assert!(parse_budget_file("max_events 1\nmax_events 2\n").is_err()); // duplicate
+    }
+
+    #[test]
+    fn budget_file_rejects_retries_above_u32() {
+        let max = parse_budget_file(&format!("max_retries {}\n", u32::MAX)).unwrap();
+        assert_eq!(max.max_retries, Some(u32::MAX));
+        // 2^32 + 2 would truncate to 2 if narrowed with `as`.
+        let err = parse_budget_file("max_events 1\nmax_retries 4294967298\n").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.message.contains("max_retries"), "{err}");
     }
 
     #[test]

@@ -30,6 +30,26 @@ fn message() -> impl Strategy<Value = String> {
     prop::collection::vec(ch, 0..40).prop_map(|chars| chars.into_iter().collect())
 }
 
+/// One budget-file line: free text, or a known key followed by free text
+/// or a number (so values reach the per-key parsing, overflow included).
+fn budget_line() -> impl Strategy<Value = String> {
+    fn key() -> impl Strategy<Value = &'static str> {
+        (0usize..4).prop_map(|i| {
+            [
+                "max_virtual_time_ns",
+                "max_events",
+                "max_retries",
+                "retry_backoff_ms",
+            ][i]
+        })
+    }
+    prop_oneof![
+        message(),
+        (key(), message()).prop_map(|(k, v)| format!("{k} {v}")),
+        (key(), any::<u64>()).prop_map(|(k, v)| format!("{k} {v}")),
+    ]
+}
+
 fn fault_expr(depth: u32) -> BoxedStrategy<FaultExpr> {
     let atom = (name(), name()).prop_map(|(sm, st)| FaultExpr::atom(&sm, &st));
     if depth == 0 {
@@ -156,6 +176,31 @@ proptest! {
         let text = timeline_file::write(&study, &symbols, &timeline);
         let parsed = timeline_file::parse(&study, &mut symbols, &text).unwrap();
         prop_assert_eq!(parsed, timeline);
+    }
+
+    #[test]
+    fn budget_file_roundtrip(
+        max_virtual_time_ns in prop::option::of(any::<u64>()),
+        max_events in prop::option::of(any::<u64>()),
+        max_retries in prop::option::of(any::<u32>()),
+        retry_backoff_ms in prop::option::of(any::<u64>()),
+        lines in prop::collection::vec(budget_line(), 0..6),
+    ) {
+        let spec = files::BudgetSpec {
+            max_virtual_time_ns,
+            max_events,
+            max_retries,
+            retry_backoff_ms,
+        };
+        let text = files::write_budget_file(&spec);
+        prop_assert_eq!(files::parse_budget_file(&text).unwrap(), spec);
+
+        // Arbitrary text parses or returns a `ParseError`, never panics;
+        // whatever parses writes back to the same spec.
+        if let Ok(parsed) = files::parse_budget_file(&lines.join("\n")) {
+            let rewritten = files::write_budget_file(&parsed);
+            prop_assert_eq!(files::parse_budget_file(&rewritten).unwrap(), parsed);
+        }
     }
 
     #[test]
